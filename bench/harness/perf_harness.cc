@@ -514,6 +514,13 @@ writeBenchJson(const BenchResult &r, const std::string &dir,
 int
 runPerfBenches(const BenchOptions &opts)
 {
+    std::error_code ec;
+    std::filesystem::create_directories(opts.outDir, ec);
+    if (ec) {
+        RC_LOG(error, "cannot create '" + opts.outDir +
+                          "': " + ec.message());
+        return 1;
+    }
     int failures = 0;
     unsigned ran = 0;
     for (const BenchSpec &spec : perfBenches()) {

@@ -92,7 +92,7 @@ bool writeBenchJson(const BenchResult &r, const std::string &dir,
 /**
  * Run every registered benchmark whose name contains
  * @p opts.filter, print a one-line summary each, and write the JSON
- * files into @p opts.outDir.
+ * files into @p opts.outDir (created, with parents, if missing).
  * @return 0 on success, nonzero if any file write failed
  */
 int runPerfBenches(const BenchOptions &opts);

@@ -138,13 +138,13 @@ knownFailpoints()
          "after a stale lease is renamed aside, before the fresh "
          "claim"},
         {"claim.unit.publish",
-         "after a sweep unit's CSV tmp file is written, before its "
-         "rename into place"},
+         "after a claimed unit's work finishes, before its CSV is "
+         "published (sweep and tune units)"},
         {"claim.done.before",
          "before a unit's done marker is written"},
         {"atomic.publish",
          "inside atomicWriteFile, after the tmp write, before the "
-         "rename (manifest scenario text, tune unit CSVs)"},
+         "rename (manifest scenario text, claim unit CSVs)"},
         {"csv.chunk.flush",
          "at a sweep CSV chunk append+flush"},
         {"log.append",

@@ -4,15 +4,21 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
+#include <thread>
 
 #include "fault/failpoint.hh"
 #include "util/checked_io.hh"
+#include "util/interrupt.hh"
 #include "util/logging.hh"
 #include "util/numformat.hh"
 
@@ -60,6 +66,32 @@ mtimeOf(const std::string &path)
     if (::stat(path.c_str(), &st) != 0)
         return std::nullopt;
     return st.st_mtime;
+}
+
+/**
+ * A name no other writer picks: "<host>-<pid>-<nonce>" (the random
+ * nonce separates workers in one process and recycled pids; host and
+ * pid make collisions across machines traceable) plus a process-wide
+ * sequence number, so even equal nonces never collide in-process.
+ */
+std::string
+uniqueToken()
+{
+    static std::atomic<std::uint64_t> seq{0};
+    char host[256] = {};
+    if (::gethostname(host, sizeof host - 1) != 0)
+        std::strcpy(host, "host");
+    std::string h(host);
+    for (char &c : h)
+        if (!std::isalnum(static_cast<unsigned char>(c)) && c != '-')
+            c = '_';
+    std::random_device rd;
+    const std::uint64_t nonce =
+        (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
+    std::ostringstream os;
+    os << h << '-' << ::getpid() << '-' << std::hex << nonce << '-'
+       << std::dec << seq.fetch_add(1);
+    return os.str();
 }
 
 } // namespace
@@ -196,8 +228,61 @@ quarantineManifest(const std::string &dir, std::string *err)
     return true;
 }
 
+std::optional<ManifestInfo>
+openManifest(const std::string &dir, const ManifestInfo &want,
+             std::string *err)
+{
+    const auto failWith = [&](const std::string &why) {
+        if (err)
+            *err = why;
+        return std::nullopt;
+    };
+    // A creator commits MANIFEST.meta with an O_EXCL create followed
+    // by a write, so a reader can catch it empty for a moment: give a
+    // damaged-looking manifest a short grace period before treating
+    // it as damage.
+    std::string read_err;
+    bool corrupt = false;
+    const auto read = [&] {
+        for (int tries = 0;; ++tries) {
+            auto info = readManifest(dir, &read_err, &corrupt);
+            if (info || !corrupt || tries == 20)
+                return info;
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+    };
+    auto mf = read();
+    if (!mf) {
+        if (want.scenarioText.empty() || want.shards == 0)
+            return failWith(read_err);
+        // A worker that carries the full spec can recover a damaged
+        // manifest: move it aside, re-create from the scenario.
+        std::string q_err;
+        if (corrupt && !quarantineManifest(dir, &q_err))
+            return failWith(read_err + "; " + q_err);
+        std::string write_err;
+        if (writeManifest(dir, want, &write_err))
+            mf = want;
+        else if (!(mf = read()))
+            return failWith(write_err); // lost the creation race
+    }
+    if (mf->mode != want.mode)
+        return failWith("manifest in '" + dir + "' is a " + mf->mode +
+                        " manifest, not a " + want.mode);
+    if (!want.scenarioText.empty() &&
+        mf->scenarioText != want.scenarioText)
+        return failWith("manifest in '" + dir +
+                        "' was created for a different scenario");
+    if (want.shards != 0 && want.shards != mf->shards)
+        return failWith("--shards " + std::to_string(want.shards) +
+                        " does not match the manifest's " +
+                        std::to_string(mf->shards));
+    return mf;
+}
+
 ClaimDir::ClaimDir(std::string dir, unsigned lease_timeout_secs)
-    : dir_(std::move(dir)), timeoutSecs_(lease_timeout_secs)
+    : dir_(std::move(dir)), timeoutSecs_(lease_timeout_secs),
+      token_(uniqueToken())
 {
 }
 
@@ -220,9 +305,8 @@ ClaimDir::takeOverIfStale(const std::string &unit) const
     // Exactly one contender's rename succeeds; the stale lease is
     // moved aside (kept for post-mortems) rather than unlinked so
     // the losers fail cleanly with ENOENT.
-    const std::string aside = lease + ".stale." +
-                              std::to_string(::getpid()) + "." +
-                              std::to_string(*mtime);
+    const std::string aside =
+        lease + ".stale." + token_ + "." + std::to_string(*mtime);
     if (::rename(lease.c_str(), aside.c_str()) != 0) {
         // ENOENT: a rival's takeover won the race — business as
         // usual. Anything else is a sick filesystem worth a note.
@@ -246,7 +330,7 @@ ClaimDir::tryClaim(const std::string &unit) const
         ::open(lease.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
     if (fd < 0)
         return false; // someone else holds it (or I/O trouble)
-    const std::string text = std::to_string(::getpid()) + "\n";
+    const std::string text = token_ + "\n";
     // Best-effort content; the lease's existence is what matters.
     (void)!::write(fd, text.data(), text.size());
     ::close(fd);
@@ -287,8 +371,7 @@ ClaimDir::release(const std::string &unit) const
 {
     const std::string lease = path(unit + ".lease");
     const auto content = readWholeFile(lease);
-    if (!content ||
-        *content != std::to_string(::getpid()) + "\n")
+    if (!content || *content != token_ + "\n")
         return false; // not ours (takeover happened, or gone)
     return ::unlink(lease.c_str()) == 0;
 }
@@ -345,8 +428,7 @@ bool
 atomicWriteFile(const std::string &path, const std::string &text,
                 std::string *err)
 {
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
+    const std::string tmp = path + ".tmp." + uniqueToken();
     if (!writeWholeFile(tmp, text)) {
         if (err)
             *err = "cannot write '" + tmp + "'";
@@ -367,6 +449,54 @@ atomicWriteFile(const std::string &path, const std::string &text,
         return false;
     }
     return true;
+}
+
+DrainStatus
+drainUnits(const ClaimDir &claims, const std::vector<std::string> &units,
+           const UnitWork &work, std::string *err)
+{
+    for (;;) {
+        // Units commit one at a time (publish + done marker), so
+        // between units there is nothing to release.
+        if (interruptRequested()) {
+            *err = "interrupted; committed units stay done";
+            return DrainStatus::Interrupted;
+        }
+        bool progressed = false;
+        for (std::size_t u = 0; u < units.size(); ++u) {
+            if (interruptRequested())
+                break;
+            if (!claims.tryClaim(units[u]))
+                continue;
+            const auto output = work(u);
+            if (!output) {
+                if (!interruptRequested())
+                    return DrainStatus::Failed; // the lease goes stale
+                // Give the unit straight back: a released lease is
+                // immediately claimable, no timeout needed.
+                claims.release(units[u]);
+                *err = "interrupted; released '" + units[u] + "'";
+                return DrainStatus::Interrupted;
+            }
+            const std::string csv = claims.path(units[u] + ".csv");
+            if (RC_FAILPOINT("claim.unit.publish") !=
+                fault::Fire::None) {
+                *err = "cannot publish '" + csv + "'";
+                return DrainStatus::Failed;
+            }
+            if (!atomicWriteFile(csv, *output, err) ||
+                !claims.markDone(units[u], err))
+                return DrainStatus::Failed;
+            progressed = true;
+        }
+        bool all_done = true;
+        for (const std::string &unit : units)
+            all_done = all_done && claims.isDone(unit);
+        if (all_done)
+            return DrainStatus::AllDone;
+        if (!progressed)
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
 }
 
 } // namespace rcache

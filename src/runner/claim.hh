@@ -26,13 +26,23 @@
  * marker appears, so readers never observe a partial CSV. The merge
  * tool (search/sweep_merge.hh) re-interleaves the committed shard
  * CSVs into the byte-identical unsharded report.
+ *
+ * Every worker — a process, or one of several in a process — owns a
+ * ClaimDir whose identity token (host, pid, random nonce) is written
+ * into its leases, so release() never drops a peer's lease, and
+ * every tmp file gets a name no other writer can pick. Cooperative
+ * sweeps and tunes share one create-or-join step (openManifest) and
+ * one claim loop (drainUnits); they differ only in the work a unit
+ * does.
  */
 
 #ifndef RCACHE_RUNNER_CLAIM_HH
 #define RCACHE_RUNNER_CLAIM_HH
 
+#include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace rcache
 {
@@ -79,10 +89,23 @@ std::optional<ManifestInfo> readManifest(const std::string &dir,
 bool quarantineManifest(const std::string &dir, std::string *err);
 
 /**
- * Lease bookkeeping for one manifest directory. All operations are
- * keyed by unit name ("shard_3", "r1_s0", ...); the class is
- * stateless beyond its configuration and safe to use from multiple
- * workers on the same directory — that is its purpose.
+ * Join the manifest in @p dir, creating it from @p want when there
+ * is none (a damaged one is moved aside first). Creating needs
+ * want.scenarioText and want.shards; with either unset the caller
+ * can only join. The manifest found must match want.mode, and
+ * want.scenarioText / want.shards when set. @return nullopt with
+ * @p err on any mismatch or I/O failure.
+ */
+std::optional<ManifestInfo> openManifest(const std::string &dir,
+                                         const ManifestInfo &want,
+                                         std::string *err);
+
+/**
+ * Lease bookkeeping for one worker on one manifest directory. All
+ * operations are keyed by unit name ("shard_3", "r1_s0", ...). Each
+ * instance is one worker: it carries its own identity token, so any
+ * number of instances — in one process or across hosts — can share
+ * a directory; that is its purpose.
  */
 class ClaimDir
 {
@@ -120,8 +143,8 @@ class ClaimDir
     }
 
     /**
-     * Give @p unit back: unlink our lease (only when its recorded
-     * pid is ours — a takeover may already own the name). The
+     * Give @p unit back: unlink our lease (only when it carries this
+     * instance's token — a takeover may already own the name). The
      * graceful-interrupt path: a released unit is immediately
      * claimable instead of aging out.
      * @return true when the lease was ours and is gone.
@@ -144,6 +167,8 @@ class ClaimDir
 
     std::string dir_;
     unsigned timeoutSecs_;
+    /** This worker's identity: "<host>-<pid>-<nonce>-<seq>". */
+    std::string token_;
     /** Consecutive heartbeat failures (one worker per ClaimDir
      *  instance, so plain mutable state is race-free). */
     mutable unsigned hbFailures_ = 0;
@@ -156,12 +181,39 @@ std::string sweepUnitName(unsigned shard);
 std::string tuneUnitName(std::size_t round, unsigned shard);
 
 /**
- * Atomically publish @p text as @p path: write to a worker-private
- * tmp file, then rename over the target. @return false with @p err
- * on any I/O failure.
+ * Atomically publish @p text as @p path: write to a tmp file named
+ * uniquely for this call, then rename over the target. @return false
+ * with @p err on any I/O failure.
  */
 bool atomicWriteFile(const std::string &path, const std::string &text,
                      std::string *err);
+
+/** How drainUnits ended. */
+enum class DrainStatus
+{
+    AllDone,
+    Interrupted,
+    Failed,
+};
+
+/** A claimed unit's work: @return the unit's CSV text to publish,
+ *  or nullopt when the unit failed (having reported why). */
+using UnitWork = std::function<std::optional<std::string>(std::size_t)>;
+
+/**
+ * Drain @p units together with every other worker on the directory:
+ * claim any unit that is free (or stale), run @p work on it, publish
+ * its output as <unit>.csv via atomicWriteFile, and mark it done;
+ * back off 50 ms after a pass that claimed nothing. @return AllDone
+ * once every unit is done, by anyone. A polite interrupt stops the
+ * loop (Interrupted, @p err says what stays committed); a unit whose
+ * work fails is released when an interrupt caused the failure and
+ * otherwise left to go stale for a peer (Failed, @p err empty). A
+ * publish or commit error is Failed with @p err.
+ */
+DrainStatus drainUnits(const ClaimDir &claims,
+                       const std::vector<std::string> &units,
+                       const UnitWork &work, std::string *err);
 
 } // namespace rcache
 

@@ -1,12 +1,75 @@
 #include "scenario/cell_eval.hh"
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 
+#include "analytic/analytic_engine.hh"
 #include "util/logging.hh"
 #include "workload/profiles.hh"
 
 namespace rcache
 {
+
+namespace
+{
+
+/** Attach the mix to every job of a multi-programmed cell (a
+ *  one-component mix rides on job.profile alone). */
+void
+attachMix(std::vector<RunJob>::iterator begin,
+          std::vector<RunJob>::iterator end,
+          const EffectiveWorkload &eff)
+{
+    if (eff.mix.size() <= 1)
+        return;
+    for (auto it = begin; it != end; ++it)
+        it->mixProfiles = eff.mix;
+}
+
+/** The CSV row a finished cell reports. */
+SweepRecord
+cellRecord(std::size_t cell, const std::string &app,
+           const DesignPoint &p, const SearchOutcome &out)
+{
+    SweepRecord r;
+    r.cell = cell;
+    r.app = app;
+    r.org = organizationToken(p.org);
+    r.strategy = strategyName(p.strategy);
+    r.side = sweepSideName(p.side);
+    r.axes = p.axes;
+    r.bestLevel = out.bestLevel;
+    if (p.strategy == Strategy::Dynamic) {
+        r.intervalAccesses = out.bestParams.intervalAccesses;
+        r.missBound = out.bestParams.missBound;
+        r.sizeBoundBytes = out.bestParams.sizeBoundBytes;
+    }
+    r.edReductionPct = out.edReductionPct();
+    r.perfDegradationPct = out.perfDegradationPct();
+    if (p.side == SweepSide::Both) {
+        const double full =
+            out.baseline.avgIl1Bytes + out.baseline.avgDl1Bytes;
+        r.sizeReductionPct =
+            full == 0 ? 0
+                      : 100.0 * (1.0 - (out.best.avgIl1Bytes +
+                                        out.best.avgDl1Bytes) /
+                                           full);
+    } else {
+        r.sizeReductionPct = out.sizeReductionPct(cacheSideOf(p.side));
+    }
+    r.baselineEdp = out.baseline.edp();
+    r.bestEdp = out.best.edp();
+    r.baselineCycles = out.baseline.cycles;
+    r.bestCycles = out.best.cycles;
+    r.avgIl1Bytes = out.best.avgIl1Bytes;
+    r.avgDl1Bytes = out.best.avgDl1Bytes;
+    r.engine = out.best.engine;
+    r.policy = p.cfg.policy;
+    return r;
+}
+
+} // namespace
 
 std::vector<AppEntry>
 resolveApps(const ScenarioSpec &spec, std::string *err)
@@ -49,17 +112,6 @@ effectiveWorkload(const AppEntry &entry, const DesignPoint &p)
     return eff;
 }
 
-void
-attachMix(std::vector<RunJob>::iterator begin,
-          std::vector<RunJob>::iterator end,
-          const EffectiveWorkload &eff)
-{
-    if (eff.mix.size() <= 1)
-        return;
-    for (auto it = begin; it != end; ++it)
-        it->mixProfiles = eff.mix;
-}
-
 CacheSide
 cacheSideOf(SweepSide side)
 {
@@ -80,45 +132,153 @@ baselineKey(const SystemConfig &cfg, const EngineSpec &engine,
     return os.str();
 }
 
-SweepRecord
-cellRecord(std::size_t cell, const std::string &app,
-           const DesignPoint &p, const SearchOutcome &out)
+DesignPoint
+CellScope::point(std::size_t cell) const
 {
-    SweepRecord r;
-    r.cell = cell;
-    r.app = app;
-    r.org = organizationToken(p.org);
-    r.strategy = strategyName(p.strategy);
-    r.side = sweepSideName(p.side);
-    r.axes = p.axes;
-    r.bestLevel = out.bestLevel;
-    if (p.strategy == Strategy::Dynamic) {
-        r.intervalAccesses = out.bestParams.intervalAccesses;
-        r.missBound = out.bestParams.missBound;
-        r.sizeBoundBytes = out.bestParams.sizeBoundBytes;
+    DesignPoint p = space.point(cell % space.numPoints());
+    if (engine)
+        p.engine = *engine;
+    return p;
+}
+
+void
+registerAnalytic(AnalyticBatch &batch, const CellScope &scope,
+                 const std::vector<std::size_t> &cells)
+{
+    // All the jobs of a cell share the cell's full geometry, so
+    // registering the design point covers its baseline and every
+    // candidate.
+    for (const std::size_t cell : cells) {
+        const DesignPoint p = scope.point(cell);
+        batch.registerConfig(p.cfg,
+                             effectiveWorkload(scope.app(cell), p).label,
+                             scope.space.spec().insts);
     }
-    r.edReductionPct = out.edReductionPct();
-    r.perfDegradationPct = out.perfDegradationPct();
+}
+
+CellBatch::CellBatch(const CellScope &scope, BaselineMemo &memo)
+    : scope_(scope), memo_(memo)
+{
+}
+
+void
+CellBatch::add(std::size_t cell)
+{
+    Cell c;
+    c.cell = cell;
+    c.point = scope_.point(cell);
+    c.eff = effectiveWorkload(scope_.app(cell), c.point);
+    const DesignPoint &p = c.point;
+    const std::size_t first = jobs_.size();
+
+    Experiment exp(p.cfg, scope_.space.spec().insts);
+    exp.setEngine(p.engine);
+    exp.setSearchGrid(scope_.space.spec().search.dynGrid);
+
+    c.baseKey = baselineKey(exp.config(), p.engine, c.eff.label.name);
+    if (!memo_.count(c.baseKey) && !newBases_.count(c.baseKey)) {
+        newBases_[c.baseKey] = jobs_.size();
+        jobs_.push_back(exp.baselineJob(c.eff.label));
+    }
+
+    const auto append = [&](std::vector<RunJob> jobs) {
+        jobs_.insert(jobs_.end(), std::make_move_iterator(jobs.begin()),
+                     std::make_move_iterator(jobs.end()));
+    };
+    c.off = jobs_.size();
     if (p.side == SweepSide::Both) {
-        const double full =
-            out.baseline.avgIl1Bytes + out.baseline.avgDl1Bytes;
-        r.sizeReductionPct =
-            full == 0 ? 0
-                      : 100.0 * (1.0 - (out.best.avgIl1Bytes +
-                                        out.best.avgDl1Bytes) /
-                                           full);
+        append(exp.staticSearchJobs(c.eff.label, CacheSide::DCache,
+                                    p.org));
+        c.mid = jobs_.size();
+        append(exp.staticSearchJobs(c.eff.label, CacheSide::ICache,
+                                    p.org));
+        ++both_;
     } else {
-        r.sizeReductionPct = out.sizeReductionPct(cacheSideOf(p.side));
+        const CacheSide side = cacheSideOf(p.side);
+        c.candidates = exp.searchCandidates(side, p.org, p.strategy);
+        append(exp.searchJobs(c.eff.label, side, p.org, p.strategy));
     }
-    r.baselineEdp = out.baseline.edp();
-    r.bestEdp = out.best.edp();
-    r.baselineCycles = out.baseline.cycles;
-    r.bestCycles = out.best.cycles;
-    r.avgIl1Bytes = out.best.avgIl1Bytes;
-    r.avgDl1Bytes = out.best.avgDl1Bytes;
-    r.engine = out.best.engine;
-    r.policy = p.cfg.policy;
-    return r;
+    c.end = jobs_.size();
+    attachMix(jobs_.begin() + first, jobs_.end(), c.eff);
+    jobCells_.resize(jobs_.size(), cell);
+    cells_.push_back(std::move(c));
+}
+
+std::vector<SweepRecord>
+CellBatch::run(const PhaseRunner &execute)
+{
+    const std::vector<RunResult> results = execute(jobs_, jobCells_);
+    for (const auto &[key, idx] : newBases_)
+        memo_[key] = results[idx];
+    const auto slice = [&](std::size_t from, std::size_t to) {
+        return std::vector<RunResult>(results.begin() + from,
+                                      results.begin() + to);
+    };
+
+    // Side=both cells: each L1 was profiled on its own; run the two
+    // chosen levels together.
+    std::vector<RunJob> combined;
+    std::vector<std::size_t> combinedCells;
+    std::vector<SearchOutcome> dOuts(cells_.size());
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+        const Cell &c = cells_[i];
+        if (c.point.side != SweepSide::Both)
+            continue;
+        const RunResult &base = memo_.at(c.baseKey);
+        dOuts[i] = Experiment::reduceStatic(base, slice(c.off, c.mid));
+        const SearchOutcome iOut =
+            Experiment::reduceStatic(base, slice(c.mid, c.end));
+        Experiment exp(c.point.cfg, scope_.space.spec().insts);
+        exp.setEngine(c.point.engine);
+        combined.push_back(exp.bothStaticJob(c.eff.label, c.point.org,
+                                             iOut.bestLevel,
+                                             dOuts[i].bestLevel));
+        attachMix(combined.end() - 1, combined.end(), c.eff);
+        combinedCells.push_back(c.cell);
+    }
+    const std::vector<RunResult> results2 =
+        execute(combined, combinedCells);
+
+    std::vector<SweepRecord> records;
+    records.reserve(cells_.size());
+    std::size_t next2 = 0;
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+        const Cell &c = cells_[i];
+        const RunResult &base = memo_.at(c.baseKey);
+        const SearchOutcome out =
+            c.point.side == SweepSide::Both
+                ? Experiment::reduceBoth(base, dOuts[i],
+                                         results2[next2++])
+                : Experiment::reduceSearch(base, c.candidates,
+                                           slice(c.off, c.end));
+        records.push_back(
+            cellRecord(c.cell, scope_.app(c.cell).name, c.point, out));
+    }
+    return records;
+}
+
+std::vector<std::string>
+CellBatch::newBaselineLabels() const
+{
+    std::vector<std::size_t> at;
+    for (const auto &entry : newBases_)
+        at.push_back(entry.second);
+    std::sort(at.begin(), at.end());
+    std::vector<std::string> labels;
+    for (const std::size_t idx : at)
+        labels.push_back(jobs_[idx].label);
+    return labels;
+}
+
+std::vector<SweepRecord>
+evaluateCells(const CellScope &scope,
+              const std::vector<std::size_t> &cells,
+              BaselineMemo &memo, const PhaseRunner &execute)
+{
+    CellBatch batch(scope, memo);
+    for (const std::size_t cell : cells)
+        batch.add(cell);
+    return batch.run(execute);
 }
 
 } // namespace rcache

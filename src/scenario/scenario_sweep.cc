@@ -4,7 +4,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -33,26 +32,11 @@ fail(const std::string &msg)
     return 2;
 }
 
-/** One owned, not-yet-completed cell. Batch offsets are filled in
- *  per chunk. */
-struct CellPlan
-{
-    std::size_t cell = 0;
-    std::size_t app = 0;
-    DesignPoint point;
-    std::string baseKey;
-    /** Candidate slice within the chunk batch. Single side:
-     *  [off, off+count). Both sides: d jobs at [off, off+count),
-     *  i jobs at [ioff, ioff+icount). */
-    std::size_t off = 0, count = 0;
-    std::size_t ioff = 0, icount = 0;
-    std::vector<SearchCandidate> candidates;
-};
-
-} // namespace
-
+/** The sweep; the report goes to @p report when given, else to
+ *  opt.outPath / opt.resumePath / stdout. */
 int
-runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
+sweep(const ParamSpace &space, const SweepOptions &opt,
+      std::ostream *report)
 {
     const ScenarioSpec &spec = space.spec();
 
@@ -67,12 +51,11 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
                     "--out");
 
     std::string apps_err;
-    std::vector<AppEntry> apps = resolveApps(spec, &apps_err);
+    const std::vector<AppEntry> apps = resolveApps(spec, &apps_err);
     if (apps.empty())
         return fail(apps_err);
-
-    const std::size_t npoints = space.numPoints();
-    const std::size_t ncells = apps.size() * npoints;
+    const CellScope scope{space, apps};
+    const std::size_t ncells = apps.size() * space.numPoints();
 
     std::vector<std::size_t> owned;
     for (std::size_t c = 0; c < ncells; ++c)
@@ -124,11 +107,9 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
                     for (std::size_t i = 0; i < prior->size(); ++i) {
                         const SweepRecord &r = (*prior)[i];
                         const std::size_t cell = owned[i];
-                        const DesignPoint p =
-                            space.point(cell % npoints);
-                        const std::string &app =
-                            apps[cell / npoints].name;
-                        if (r.cell != cell || r.app != app ||
+                        const DesignPoint p = scope.point(cell);
+                        if (r.cell != cell ||
+                            r.app != scope.app(cell).name ||
                             r.axes != p.axes ||
                             r.org != organizationToken(p.org) ||
                             r.strategy != strategyName(p.strategy) ||
@@ -147,34 +128,16 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
         }
     }
 
-    // ---- plan the remaining cells
-    const SearchGrid &grid = spec.search.dynGrid;
-    std::vector<CellPlan> plans;
-    plans.reserve(owned.size() - skip);
-    for (std::size_t i = skip; i < owned.size(); ++i) {
-        CellPlan plan;
-        plan.cell = owned[i];
-        plan.app = plan.cell / npoints;
-        plan.point = space.point(plan.cell % npoints);
-        plans.push_back(std::move(plan));
-    }
-
     // ---- analytic engine: one shared stack-distance pass per
     // distinct (workload, stream shape) pair prices every cell that
     // shares it — that is the whole point of the engine. Register
-    // every remaining cell's configuration up front (a pass cannot
-    // learn new geometries once it has run); AnalyticBatch runs each
-    // pass lazily the first time a chunk prices against it. All the
-    // jobs of a cell share the cell's full geometry, so registering
-    // the design point covers its baseline and every candidate.
+    // every remaining cell's configuration up front; AnalyticBatch
+    // runs each pass lazily the first time a chunk prices against it.
+    const std::vector<std::size_t> remaining(owned.begin() + skip,
+                                             owned.end());
     AnalyticBatch analytic;
     if (spec.engine.analytic()) {
-        for (const CellPlan &plan : plans) {
-            const EffectiveWorkload eff =
-                effectiveWorkload(apps[plan.app], plan.point);
-            analytic.registerConfig(plan.point.cfg, eff.label,
-                                    spec.insts);
-        }
+        registerAnalytic(analytic, scope, remaining);
         if (!opt.timelinePath.empty() || !opt.eventsPath.empty() ||
             !opt.traceEventsPath.empty())
             RC_LOG(warn,
@@ -214,14 +177,6 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
     SweepRunner runner(opt.jobs);
     if (trace)
         runner.setTrace(&*trace);
-    // Analytic cells never touch the runner: each job is priced from
-    // its shared pass, in job order, so every downstream reduction,
-    // CSV row, and resume/shard contract is untouched (and the
-    // report is trivially byte-identical for any --jobs value).
-    const auto execute = [&](const std::vector<RunJob> &jobs) {
-        return spec.engine.analytic() ? analytic.price(jobs)
-                                      : runner.run(jobs);
-    };
     if (opt.progress) {
         runner.setProgress([](std::size_t done, std::size_t total,
                               const RunJob &job) {
@@ -237,8 +192,8 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
     const std::string &path =
         resuming ? opt.resumePath : opt.outPath;
     std::ofstream file;
-    std::ostream *os = &std::cout;
-    if (!path.empty()) {
+    std::ostream *os = report ? report : &std::cout;
+    if (!report && !path.empty()) {
         file.open(path, std::ios::binary | std::ios::trunc);
         if (!file)
             return fail("cannot write '" + path + "'");
@@ -251,211 +206,87 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
                       kept.empty() ? sweepCsvHeader() + "\n" : kept,
                       outName);
 
-    // ---- execute in chunks: within a chunk every cell's baseline
-    // (memoized across chunks) and candidate sweeps form one batch,
-    // so the pool stays busy across cell boundaries; chunk results
-    // are reduced, written, and flushed before the next chunk runs.
-    std::map<std::string, RunResult> baseline_memo;
-    std::vector<SweepRecord> buffered; // json/table only
+    // ---- one phase of a chunk: annotate the jobs with telemetry
+    // bundles and design-point trace coordinates, run them, and
+    // append their telemetry in job order. Analytic cells never touch
+    // the runner: each job is priced from its shared pass, in job
+    // order, so the report is trivially --jobs-invariant.
     std::size_t total_runs = 0;
+    const PhaseRunner execute = [&](std::vector<RunJob> &jobs,
+                                    const std::vector<std::size_t> &cells) {
+        std::vector<std::unique_ptr<RunTelemetry>> bundles;
+        std::string point;
+        for (std::size_t k = 0; k < jobs.size(); ++k) {
+            if (want_timeline || want_events) {
+                bundles.push_back(std::make_unique<RunTelemetry>());
+                bundles.back()->timelineInterval =
+                    want_timeline ? opt.timelineInterval : 0;
+                bundles.back()->resizeEvents = want_events;
+                jobs[k].telemetry = bundles.back().get();
+            }
+            if (trace) {
+                if (k == 0 || cells[k] != cells[k - 1]) {
+                    const DesignPoint p = scope.point(cells[k]);
+                    std::ostringstream pt;
+                    pt << "cell=" << cells[k]
+                       << ";app=" << scope.app(cells[k]).name
+                       << ";org=" << organizationToken(p.org)
+                       << ";strategy=" << strategyName(p.strategy)
+                       << ";side=" << sweepSideName(p.side);
+                    if (!p.axes.empty())
+                        pt << ';' << p.axes;
+                    point = pt.str();
+                }
+                jobs[k].tracePoint = point;
+            }
+        }
+        const auto results = spec.engine.analytic()
+                                 ? analytic.price(jobs)
+                                 : runner.run(jobs);
+        total_runs += jobs.size();
+        for (RunJob &job : jobs) {
+            if (!job.telemetry)
+                continue;
+            if (want_timeline) {
+                std::ostringstream rec;
+                writeTimelineJsonl(rec, job.telemetry->timeline,
+                                   job.label);
+                checkedAppend(timeline_os, rec.str(), opt.timelinePath,
+                              "telemetry.timeline.append");
+            }
+            if (want_events) {
+                std::ostringstream rec;
+                writeResizeEventsJsonl(
+                    rec, job.telemetry->events.events(), job.label);
+                checkedAppend(events_os, rec.str(), opt.eventsPath,
+                              "telemetry.events.append");
+            }
+            job.telemetry = nullptr;
+        }
+        return results;
+    };
+
+    // ---- execute in chunks: a chunk's cells form one CellBatch, so
+    // the pool stays busy across cell boundaries (baselines are
+    // memoized across chunks); chunk results are reduced, written,
+    // and flushed before the next chunk runs.
+    BaselineMemo memo;
+    std::vector<SweepRecord> buffered; // json/table only
     const std::size_t chunk_min_jobs =
         std::max<std::size_t>(64, 8 * runner.parallelism());
 
     const auto t0 = std::chrono::steady_clock::now();
     std::size_t next = 0;
-    while (next < plans.size()) {
-        // -- build one chunk's batch
-        std::vector<RunJob> batch;
-        std::vector<std::pair<std::string, std::size_t>> new_bases;
-        std::map<std::string, std::size_t> chunk_base_at;
-        const std::size_t first = next;
-        while (next < plans.size() &&
-               (next == first || batch.size() < chunk_min_jobs)) {
-            CellPlan &plan = plans[next];
-            const DesignPoint &p = plan.point;
-            const EffectiveWorkload eff =
-                effectiveWorkload(apps[plan.app], p);
-            const BenchmarkProfile &profile = eff.label;
-            const std::size_t plan_jobs_begin = batch.size();
+    while (next < remaining.size()) {
+        CellBatch chunk(scope, memo);
+        while (next < remaining.size() &&
+               (chunk.empty() || chunk.phase1Jobs() < chunk_min_jobs))
+            chunk.add(remaining[next++]);
+        const std::vector<SweepRecord> records = chunk.run(execute);
+        if (trace)
+            for (const std::string &label : chunk.newBaselineLabels())
+                trace->instant("baseline-memo", {{"label", label}});
 
-            Experiment exp(p.cfg, spec.insts);
-            exp.setEngine(p.engine);
-            exp.setSearchGrid(grid);
-
-            plan.baseKey =
-                baselineKey(exp.config(), p.engine, profile.name);
-            if (!baseline_memo.count(plan.baseKey) &&
-                !chunk_base_at.count(plan.baseKey)) {
-                chunk_base_at[plan.baseKey] = batch.size();
-                new_bases.emplace_back(plan.baseKey, batch.size());
-                batch.push_back(exp.baselineJob(profile));
-                attachMix(batch.end() - 1, batch.end(), eff);
-            }
-
-            if (p.side == SweepSide::Both) {
-                auto d = exp.staticSearchJobs(
-                    profile, CacheSide::DCache, p.org);
-                attachMix(d.begin(), d.end(), eff);
-                plan.off = batch.size();
-                plan.count = d.size();
-                batch.insert(batch.end(), d.begin(), d.end());
-                auto ij = exp.staticSearchJobs(
-                    profile, CacheSide::ICache, p.org);
-                attachMix(ij.begin(), ij.end(), eff);
-                plan.ioff = batch.size();
-                plan.icount = ij.size();
-                batch.insert(batch.end(), ij.begin(), ij.end());
-            } else {
-                const CacheSide side = cacheSideOf(p.side);
-                plan.candidates =
-                    exp.searchCandidates(side, p.org, p.strategy);
-                auto jobs =
-                    exp.searchJobs(profile, side, p.org, p.strategy);
-                attachMix(jobs.begin(), jobs.end(), eff);
-                plan.off = batch.size();
-                plan.count = jobs.size();
-                batch.insert(batch.end(), jobs.begin(), jobs.end());
-            }
-            if (trace) {
-                // Design-point coordinates for the runner spans.
-                std::ostringstream pt;
-                pt << "cell=" << plan.cell << ";app="
-                   << apps[plan.app].name << ";org="
-                   << organizationToken(p.org) << ";strategy="
-                   << strategyName(p.strategy) << ";side="
-                   << sweepSideName(p.side);
-                if (!p.axes.empty())
-                    pt << ';' << p.axes;
-                for (std::size_t k = plan_jobs_begin;
-                     k < batch.size(); ++k)
-                    batch[k].tracePoint = pt.str();
-            }
-            ++next;
-        }
-
-        // -- per-job telemetry bundles. Allocated only after the
-        // batch vector is final: job.telemetry points into `bundles`,
-        // and annotating jobs after a reallocating push_back would be
-        // fine, but assigning pointers before one would not.
-        std::vector<std::unique_ptr<RunTelemetry>> bundles;
-        const auto attachTelemetry = [&](std::vector<RunJob> &jobs) {
-            if (!want_timeline && !want_events)
-                return;
-            for (RunJob &job : jobs) {
-                auto t = std::make_unique<RunTelemetry>();
-                t->timelineInterval =
-                    want_timeline ? opt.timelineInterval : 0;
-                t->resizeEvents = want_events;
-                job.telemetry = t.get();
-                bundles.push_back(std::move(t));
-            }
-        };
-        const auto writeTelemetry =
-            [&](const std::vector<RunJob> &jobs) {
-                for (const RunJob &job : jobs) {
-                    if (!job.telemetry)
-                        continue;
-                    if (want_timeline) {
-                        std::ostringstream rec;
-                        writeTimelineJsonl(rec,
-                                           job.telemetry->timeline,
-                                           job.label);
-                        checkedAppend(timeline_os, rec.str(),
-                                      opt.timelinePath,
-                                      "telemetry.timeline.append");
-                    }
-                    if (want_events) {
-                        std::ostringstream rec;
-                        writeResizeEventsJsonl(
-                            rec, job.telemetry->events.events(),
-                            job.label);
-                        checkedAppend(events_os, rec.str(),
-                                      opt.eventsPath,
-                                      "telemetry.events.append");
-                    }
-                }
-            };
-        attachTelemetry(batch);
-
-        // -- run it and publish the chunk's baselines
-        const auto results = execute(batch);
-        total_runs += batch.size();
-        for (const auto &[key, idx] : new_bases) {
-            baseline_memo[key] = results[idx];
-            if (trace)
-                trace->instant("baseline-memo",
-                               {{"label", batch[idx].label}});
-        }
-        writeTelemetry(batch);
-
-        // -- both-sides cells: second phase at the profiled levels
-        std::vector<RunJob> phase2;
-        std::vector<std::size_t> phase2_at(next - first, 0);
-        std::vector<SearchOutcome> douts(next - first);
-        for (std::size_t i = first; i < next; ++i) {
-            const CellPlan &plan = plans[i];
-            if (plan.point.side != SweepSide::Both)
-                continue;
-            const RunResult &base =
-                baseline_memo.at(plan.baseKey);
-            douts[i - first] = Experiment::reduceStatic(
-                base, {results.begin() + plan.off,
-                       results.begin() + plan.off + plan.count});
-            const SearchOutcome iout = Experiment::reduceStatic(
-                base, {results.begin() + plan.ioff,
-                       results.begin() + plan.ioff + plan.icount});
-            Experiment exp(plan.point.cfg, spec.insts);
-            exp.setEngine(plan.point.engine);
-            phase2_at[i - first] = phase2.size();
-            const EffectiveWorkload eff =
-                effectiveWorkload(apps[plan.app], plan.point);
-            phase2.push_back(exp.bothStaticJob(
-                eff.label, plan.point.org, iout.bestLevel,
-                douts[i - first].bestLevel));
-            attachMix(phase2.end() - 1, phase2.end(), eff);
-            if (trace) {
-                std::ostringstream pt;
-                pt << "cell=" << plan.cell << ";app="
-                   << apps[plan.app].name << ";org="
-                   << organizationToken(plan.point.org)
-                   << ";strategy="
-                   << strategyName(plan.point.strategy)
-                   << ";side=" << sweepSideName(plan.point.side);
-                if (!plan.point.axes.empty())
-                    pt << ';' << plan.point.axes;
-                phase2.back().tracePoint = pt.str();
-            }
-        }
-        attachTelemetry(phase2);
-        const auto results2 = execute(phase2);
-        total_runs += phase2.size();
-        writeTelemetry(phase2);
-
-        // -- reduce and write the chunk, in cell order
-        std::vector<SweepRecord> records;
-        records.reserve(next - first);
-        for (std::size_t i = first; i < next; ++i) {
-            const CellPlan &plan = plans[i];
-            const RunResult &base =
-                baseline_memo.at(plan.baseKey);
-            SearchOutcome out;
-            if (plan.point.side == SweepSide::Both) {
-                out = Experiment::reduceBoth(
-                    base, douts[i - first],
-                    results2[phase2_at[i - first]]);
-            } else {
-                out = Experiment::reduceSearch(
-                    base, plan.candidates,
-                    {results.begin() + plan.off,
-                     results.begin() + plan.off + plan.count});
-            }
-            records.push_back(cellRecord(
-                plan.cell, apps[plan.app].name, plan.point, out));
-            // Candidate lists can be large (dynamic grids); drop
-            // them with the chunk.
-            plans[i].candidates.clear();
-            plans[i].candidates.shrink_to_fit();
-        }
         if (stream_csv) {
             std::ostringstream rows;
             writeSweepCsvRows(rows, records);
@@ -472,18 +303,17 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
         if (trace)
             trace->instant(
                 "chunk-flush",
-                {{"cells", std::to_string(next - first)},
-                 {"jobs", std::to_string(batch.size() +
-                                         phase2.size())}});
+                {{"cells", std::to_string(chunk.size())},
+                 {"jobs", std::to_string(chunk.plannedJobs())}});
         if (opt.chunkDone)
             opt.chunkDone(skip + next);
         // The chunk above is committed (written + flushed): the
         // documented resumable boundary for a polite interrupt.
-        if (interruptRequested() && next < plans.size()) {
+        if (interruptRequested() && next < remaining.size()) {
             std::cerr << "rcache-sim: interrupted; "
                       << (skip + next) << "/" << owned.size()
                       << " cells committed";
-            if (stream_csv && !path.empty())
+            if (stream_csv && !report && !path.empty())
                 std::cerr << "; resume with --resume " << path;
             std::cerr << '\n';
             return interruptExitCode();
@@ -514,12 +344,28 @@ runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
                   << " worker(s)";
         if (opt.shard.sharded())
             std::cerr << " [shard " << opt.shard.str() << ", "
-                      << plans.size() << "/" << ncells << " cells]";
+                      << remaining.size() << "/" << ncells
+                      << " cells]";
         if (skip)
             std::cerr << " [resumed past " << skip << " cells]";
         std::cerr << '\n';
     }
     return 0;
+}
+
+} // namespace
+
+int
+runScenarioSweep(const ParamSpace &space, const SweepOptions &opt)
+{
+    return sweep(space, opt, nullptr);
+}
+
+int
+runScenarioSweep(const ParamSpace &space, const SweepOptions &opt,
+                 std::ostream &report)
+{
+    return sweep(space, opt, &report);
 }
 
 int

@@ -20,14 +20,16 @@
  *    simulates only the remaining cells; the final file is
  *    byte-identical to an uninterrupted run.
  *
- * Execution is chunked: cells are grouped until a chunk holds enough
- * jobs to keep the pool busy across cell boundaries (baselines are
- * memoized across chunks), and each chunk's CSV rows are written and
- * flushed before the next chunk runs — so an interrupted sweep
- * leaves every completed chunk on disk for --resume instead of
- * losing the whole run. side=both cells add a second phase per chunk
- * for the combined run at the two profiled levels, exactly like the
- * paper's Fig 9 methodology.
+ * Execution is chunked: cells are grouped into one CellBatch
+ * (scenario/cell_eval.hh, the evaluation path `tune` shares) until
+ * the chunk holds enough jobs to keep the pool busy across cell
+ * boundaries, with a baseline memo that spans chunks. Each chunk's
+ * CSV rows are written and flushed before the next chunk runs, so an
+ * interrupted sweep leaves every completed chunk on disk for
+ * --resume instead of losing the whole run. The sweep's own concerns
+ * — chunking, resume, shards, the streaming report, and telemetry —
+ * stay here; telemetry and trace points are attached in the phase
+ * runner it hands each chunk.
  */
 
 #ifndef RCACHE_SCENARIO_SCENARIO_SWEEP_HH
@@ -35,6 +37,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <string>
 
 #include "runner/shard.hh"
@@ -102,6 +105,12 @@ struct SweepOptions
  * resume-validation errors).
  */
 int runScenarioSweep(const ParamSpace &space, const SweepOptions &opt);
+
+/** The same sweep with the report written to @p report instead of
+ *  opt.outPath (claim workers publish unit CSVs themselves).
+ *  opt.outPath only names the report in diagnostics. */
+int runScenarioSweep(const ParamSpace &space, const SweepOptions &opt,
+                     std::ostream &report);
 
 /** Convenience: build the ParamSpace for @p spec first. */
 int runScenarioSweep(const ScenarioSpec &spec, const SweepOptions &opt);

@@ -6,16 +6,14 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
-#include <memory>
 #include <numeric>
 #include <sstream>
-#include <thread>
 
 #include "analytic/analytic_engine.hh"
 #include "runner/claim.hh"
 #include "scenario/cell_eval.hh"
 #include "search/decision_log.hh"
+#include "search/sweep_merge.hh"
 #include "sim/experiment.hh"
 #include "util/checked_io.hh"
 #include "util/interrupt.hh"
@@ -35,206 +33,60 @@ fail(const std::string &msg)
     return 2;
 }
 
-/** What every round evaluation reads (outlives the executors). */
+/** What every round evaluation reads. */
 struct TuneContext
 {
     const ParamSpace *space = nullptr;
     const std::vector<AppEntry> *apps = nullptr;
-    std::uint64_t insts = 0;
-    SearchGrid grid;
-    std::size_t npoints = 0;
-};
-
-/** One cell of a round's batch (the tune twin of the sweep's
- *  CellPlan; same offsets, same reductions). */
-struct CellWork
-{
-    std::size_t cell = 0;
-    std::size_t app = 0;
-    DesignPoint point;
-    std::string baseKey;
-    std::size_t off = 0, count = 0;
-    std::size_t ioff = 0, icount = 0;
-    std::vector<SearchCandidate> candidates;
-};
-
-struct RoundBatch
-{
-    std::vector<RunJob> jobs;
-    std::vector<CellWork> cells;
-    /** Baselines first seen in this batch: key -> job index. */
-    std::vector<std::pair<std::string, std::size_t>> newBases;
+    /** Worker threads for detailed/sampled rungs. */
+    unsigned jobs = 1;
 };
 
 /**
- * Enumerate @p cells' jobs under the rung's @p engine — the same
- * baseline-memo / candidate layout the sweep engine builds, minus
- * chunking (a round is one batch). The rung engine overrides the
- * scenario's: that is the fidelity ladder.
+ * Evaluate @p cells under the rung's @p engine (which overrides the
+ * scenario's: that is the fidelity ladder) through the CellBatch
+ * path the sweep runs, so the rows are byte-identical to an
+ * exhaustive sweep's at the same engine. Analytic rungs price
+ * through shared stack-distance passes; the rest run on the pool.
  */
-RoundBatch
-buildBatch(const TuneContext &ctx,
-           const std::vector<std::size_t> &cells,
-           const EngineSpec &engine)
+std::vector<SweepRecord>
+evaluateRound(const TuneContext &ctx,
+              const std::vector<std::size_t> &cells,
+              const EngineSpec &engine)
 {
-    RoundBatch b;
-    std::map<std::string, std::size_t> base_at;
-    for (const std::size_t cell : cells) {
-        CellWork w;
-        w.cell = cell;
-        w.app = cell / ctx.npoints;
-        w.point = ctx.space->point(cell % ctx.npoints);
-        w.point.engine = engine;
-        const EffectiveWorkload eff =
-            effectiveWorkload((*ctx.apps)[w.app], w.point);
-
-        Experiment exp(w.point.cfg, ctx.insts);
-        exp.setEngine(engine);
-        exp.setSearchGrid(ctx.grid);
-
-        w.baseKey =
-            baselineKey(exp.config(), engine, eff.label.name);
-        if (!base_at.count(w.baseKey)) {
-            base_at[w.baseKey] = b.jobs.size();
-            b.newBases.emplace_back(w.baseKey, b.jobs.size());
-            b.jobs.push_back(exp.baselineJob(eff.label));
-            attachMix(b.jobs.end() - 1, b.jobs.end(), eff);
-        }
-
-        if (w.point.side == SweepSide::Both) {
-            auto d = exp.staticSearchJobs(eff.label,
-                                          CacheSide::DCache,
-                                          w.point.org);
-            attachMix(d.begin(), d.end(), eff);
-            w.off = b.jobs.size();
-            w.count = d.size();
-            b.jobs.insert(b.jobs.end(), d.begin(), d.end());
-            auto ij = exp.staticSearchJobs(eff.label,
-                                           CacheSide::ICache,
-                                           w.point.org);
-            attachMix(ij.begin(), ij.end(), eff);
-            w.ioff = b.jobs.size();
-            w.icount = ij.size();
-            b.jobs.insert(b.jobs.end(), ij.begin(), ij.end());
-        } else {
-            const CacheSide side = cacheSideOf(w.point.side);
-            w.candidates = exp.searchCandidates(side, w.point.org,
-                                                w.point.strategy);
-            auto jobs = exp.searchJobs(eff.label, side, w.point.org,
-                                       w.point.strategy);
-            attachMix(jobs.begin(), jobs.end(), eff);
-            w.off = b.jobs.size();
-            w.count = jobs.size();
-            b.jobs.insert(b.jobs.end(), jobs.begin(), jobs.end());
-        }
-        b.cells.push_back(std::move(w));
-    }
-    return b;
+    const CellScope scope{*ctx.space, *ctx.apps, &engine};
+    AnalyticBatch analytic;
+    std::optional<SweepRunner> runner;
+    if (engine.analytic())
+        registerAnalytic(analytic, scope, cells);
+    else
+        runner.emplace(ctx.jobs);
+    BaselineMemo memo;
+    return evaluateCells(
+        scope, cells, memo,
+        [&](std::vector<RunJob> &jobs, const std::vector<std::size_t> &) {
+            return runner ? runner->run(jobs) : analytic.price(jobs);
+        });
 }
 
 /**
  * Jobs the round's single-batch schedule runs (baselines memoized,
- * one phase-2 job per side=both cell). This is the cost model the
- * decision log accounts with — claim workers re-run baselines their
- * shard does not share, but every worker logs the same plan-time
- * number, which keeps the log byte-identical across modes.
+ * one phase-2 job per side=both cell), counted from the CellBatch
+ * plan. This is the cost model the decision log accounts with —
+ * claim workers re-run baselines their unit does not share, but
+ * every worker logs the same plan-time number, which keeps the log
+ * byte-identical across modes.
  */
 std::size_t
 plannedRoundJobs(const TuneContext &ctx,
                  const std::vector<std::size_t> &cells,
                  const EngineSpec &engine)
 {
-    const RoundBatch b = buildBatch(ctx, cells, engine);
-    std::size_t n = b.jobs.size();
-    for (const CellWork &w : b.cells)
-        if (w.point.side == SweepSide::Both)
-            ++n;
-    return n;
-}
-
-/**
- * Evaluate @p cells under @p engine and return their SweepRecords in
- * @p cells order. Mirrors the sweep engine's execute/reduce path via
- * the shared cell_eval vocabulary, so the rows are byte-identical to
- * an exhaustive sweep's at the same engine.
- */
-std::vector<SweepRecord>
-evaluateCells(const TuneContext &ctx,
-              const std::vector<std::size_t> &cells,
-              const EngineSpec &engine, unsigned jobs)
-{
-    RoundBatch b = buildBatch(ctx, cells, engine);
-
-    // Analytic rungs price through shared stack-distance passes;
-    // everything else runs on the pool. Register before running:
-    // a pass cannot learn new geometries once it has run.
-    AnalyticBatch analytic;
-    std::optional<SweepRunner> runner;
-    if (engine.analytic()) {
-        for (const CellWork &w : b.cells) {
-            const EffectiveWorkload eff =
-                effectiveWorkload((*ctx.apps)[w.app], w.point);
-            analytic.registerConfig(w.point.cfg, eff.label,
-                                    ctx.insts);
-        }
-    } else {
-        runner.emplace(jobs);
-    }
-    const auto execute = [&](const std::vector<RunJob> &js) {
-        return engine.analytic() ? analytic.price(js)
-                                 : runner->run(js);
-    };
-
-    const auto results = execute(b.jobs);
-    std::map<std::string, RunResult> bases;
-    for (const auto &[key, idx] : b.newBases)
-        bases[key] = results[idx];
-
-    // Side=both cells: second phase at the two profiled levels.
-    std::vector<RunJob> phase2;
-    std::vector<std::size_t> phase2_at(b.cells.size(), 0);
-    std::vector<SearchOutcome> douts(b.cells.size());
-    for (std::size_t i = 0; i < b.cells.size(); ++i) {
-        const CellWork &w = b.cells[i];
-        if (w.point.side != SweepSide::Both)
-            continue;
-        const RunResult &base = bases.at(w.baseKey);
-        douts[i] = Experiment::reduceStatic(
-            base, {results.begin() + w.off,
-                   results.begin() + w.off + w.count});
-        const SearchOutcome iout = Experiment::reduceStatic(
-            base, {results.begin() + w.ioff,
-                   results.begin() + w.ioff + w.icount});
-        Experiment exp(w.point.cfg, ctx.insts);
-        exp.setEngine(engine);
-        const EffectiveWorkload eff =
-            effectiveWorkload((*ctx.apps)[w.app], w.point);
-        phase2_at[i] = phase2.size();
-        phase2.push_back(exp.bothStaticJob(eff.label, w.point.org,
-                                           iout.bestLevel,
-                                           douts[i].bestLevel));
-        attachMix(phase2.end() - 1, phase2.end(), eff);
-    }
-    const auto results2 = execute(phase2);
-
-    std::vector<SweepRecord> records;
-    records.reserve(b.cells.size());
-    for (std::size_t i = 0; i < b.cells.size(); ++i) {
-        const CellWork &w = b.cells[i];
-        const RunResult &base = bases.at(w.baseKey);
-        SearchOutcome out;
-        if (w.point.side == SweepSide::Both)
-            out = Experiment::reduceBoth(base, douts[i],
-                                         results2[phase2_at[i]]);
-        else
-            out = Experiment::reduceSearch(
-                base, w.candidates,
-                {results.begin() + w.off,
-                 results.begin() + w.off + w.count});
-        records.push_back(cellRecord(
-            w.cell, (*ctx.apps)[w.app].name, w.point, out));
-    }
-    return records;
+    BaselineMemo memo;
+    CellBatch plan({*ctx.space, *ctx.apps, &engine}, memo);
+    for (const std::size_t cell : cells)
+        plan.add(cell);
+    return plan.plannedJobs();
 }
 
 /**
@@ -265,152 +117,52 @@ csvRowOf(const SweepRecord &r)
     return row;
 }
 
-/** How a round's records get produced: locally, or cooperatively
- *  through a claim directory. */
-class RoundExecutor
-{
-  public:
-    virtual ~RoundExecutor() = default;
-    /** Records in ascending-cell order, or nullopt with @p err. */
-    virtual std::optional<std::vector<SweepRecord>>
-    run(std::size_t round, const EngineSpec &engine,
-        const std::vector<std::size_t> &cells, std::string *err) = 0;
-};
-
-class LocalExecutor final : public RoundExecutor
-{
-  public:
-    LocalExecutor(const TuneContext &ctx, unsigned jobs)
-        : ctx_(ctx), jobs_(jobs)
-    {
-    }
-
-    std::optional<std::vector<SweepRecord>>
-    run(std::size_t, const EngineSpec &engine,
-        const std::vector<std::size_t> &cells, std::string *) override
-    {
-        return evaluateCells(ctx_, cells, engine, jobs_);
-    }
-
-  private:
-    TuneContext ctx_;
-    unsigned jobs_;
-};
-
 /**
- * Cooperative rounds: the candidate list is dealt round-robin into
- * `shards` units named r<round>_s<shard>; workers claim units,
- * publish their slice as a committed CSV, and barrier on the round
- * (claiming stale units of crashed peers) before everyone gathers
- * the identical record set. Double evaluation after a takeover race
- * is benign — slices are deterministic, so both writers commit the
- * same bytes.
+ * One cooperative round: the candidate list is dealt round-robin into
+ * `shards` units named r<round>_s<shard> and drained with every other
+ * worker on @p claims (drainUnits); once all are done, everyone
+ * gathers the identical record set from the committed unit CSVs.
+ * Double evaluation after a takeover race is benign — slices are
+ * deterministic, so both writers commit the same bytes.
+ * @return records in ascending-cell order, or nullopt with @p err.
  */
-class ClaimExecutor final : public RoundExecutor
+std::optional<std::vector<SweepRecord>>
+claimRound(const TuneContext &ctx, const ClaimDir &claims,
+           unsigned shards, std::size_t round, const EngineSpec &engine,
+           const std::vector<std::size_t> &cells, std::string *err)
 {
-  public:
-    ClaimExecutor(const TuneContext &ctx, unsigned jobs,
-                  ClaimDir claims, unsigned shards)
-        : ctx_(ctx), jobs_(jobs), claims_(std::move(claims)),
-          shards_(shards)
-    {
+    std::vector<std::string> units;
+    for (unsigned u = 0; u < shards; ++u)
+        units.push_back(tuneUnitName(round, u));
+    const auto evalUnit = [&](std::size_t u) {
+        std::vector<std::size_t> mine;
+        for (std::size_t p = u; p < cells.size(); p += shards)
+            mine.push_back(cells[p]);
+        std::ostringstream os;
+        os << sweepCsvHeader() << '\n';
+        writeSweepCsvRows(os, evaluateRound(ctx, mine, engine));
+        return std::optional<std::string>(os.str());
+    };
+    if (drainUnits(claims, units, evalUnit, err) != DrainStatus::AllDone)
+        return std::nullopt;
+
+    std::vector<std::string> paths;
+    for (const std::string &unit : units)
+        paths.push_back(claims.path(unit + ".csv"));
+    auto all = readShardCsvs(paths, err);
+    if (!all)
+        return std::nullopt;
+    bool covered = all->size() == cells.size();
+    for (std::size_t i = 0; covered && i < all->size(); ++i)
+        covered = (*all)[i].cell == cells[i];
+    if (!covered) {
+        *err = "claim units of round " + std::to_string(round) +
+               " do not cover its candidate set (foreign or "
+               "mismatched manifest directory?)";
+        return std::nullopt;
     }
-
-    std::optional<std::vector<SweepRecord>>
-    run(std::size_t round, const EngineSpec &engine,
-        const std::vector<std::size_t> &cells,
-        std::string *err) override
-    {
-        std::vector<std::string> units;
-        for (unsigned u = 0; u < shards_; ++u)
-            units.push_back(tuneUnitName(round, u));
-
-        for (;;) {
-            // Units commit one at a time (publish + done marker), so
-            // between units there is nothing to release — a polite
-            // interrupt just stops claiming.
-            if (interruptRequested()) {
-                if (err)
-                    *err = "interrupted";
-                return std::nullopt;
-            }
-            bool progressed = false;
-            for (unsigned u = 0; u < shards_; ++u) {
-                if (interruptRequested())
-                    break;
-                if (claims_.isDone(units[u]) ||
-                    !claims_.tryClaim(units[u]))
-                    continue;
-                std::vector<std::size_t> mine;
-                for (std::size_t p = u; p < cells.size();
-                     p += shards_)
-                    mine.push_back(cells[p]);
-                const auto recs =
-                    evaluateCells(ctx_, mine, engine, jobs_);
-                std::ostringstream os;
-                os << sweepCsvHeader() << '\n';
-                writeSweepCsvRows(os, recs);
-                if (!atomicWriteFile(
-                        claims_.path(units[u] + ".csv"), os.str(),
-                        err))
-                    return std::nullopt;
-                if (!claims_.markDone(units[u], err))
-                    return std::nullopt;
-                progressed = true;
-            }
-            bool all_done = true;
-            for (const std::string &unit : units)
-                if (!claims_.isDone(unit))
-                    all_done = false;
-            if (all_done)
-                break;
-            if (!progressed)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(50));
-        }
-
-        std::vector<SweepRecord> all;
-        for (const std::string &unit : units) {
-            const std::string path = claims_.path(unit + ".csv");
-            std::ifstream is(path, std::ios::binary);
-            if (!is) {
-                if (err)
-                    *err = "cannot read '" + path + "'";
-                return std::nullopt;
-            }
-            std::string csv_err;
-            const auto recs = readSweepCsv(is, &csv_err);
-            if (!recs) {
-                if (err)
-                    *err = "'" + path + "': " + csv_err;
-                return std::nullopt;
-            }
-            all.insert(all.end(), recs->begin(), recs->end());
-        }
-        std::sort(all.begin(), all.end(),
-                  [](const SweepRecord &a, const SweepRecord &b) {
-                      return a.cell < b.cell;
-                  });
-        bool covered = all.size() == cells.size();
-        for (std::size_t i = 0; covered && i < all.size(); ++i)
-            covered = all[i].cell == cells[i];
-        if (!covered) {
-            if (err)
-                *err = "claim units of round " +
-                       std::to_string(round) +
-                       " do not cover its candidate set (foreign "
-                       "or mismatched manifest directory?)";
-            return std::nullopt;
-        }
-        return all;
-    }
-
-  private:
-    TuneContext ctx_;
-    unsigned jobs_;
-    ClaimDir claims_;
-    unsigned shards_;
-};
+    return all;
+}
 
 /** One fully logged round recovered from a --resume decision log. */
 struct CachedRound
@@ -419,14 +171,6 @@ struct CachedRound
     std::vector<SweepRecord> records;
 };
 
-/**
- * Recover the complete-round prefix of a prior decision log. The
- * plan line must match @p planLine byte-for-byte (same scenario,
- * same knobs); rounds are adopted only up to the first one missing
- * its verdict line, and each score line's embedded CSV row must
- * parse back to its cell. Returns false with @p err on a log that
- * belongs to a different scenario or is corrupt.
- */
 /** Quarantine a damaged log and report a fresh start. @return true
  *  always (the resume degrades to "nothing cached"). */
 bool
@@ -442,6 +186,14 @@ freshAfterQuarantine(const std::string &path, const std::string &why,
     return true;
 }
 
+/**
+ * Recover the complete-round prefix of a prior decision log. The
+ * plan line must match @p planLine byte-for-byte (same scenario,
+ * same knobs); rounds are adopted only up to the first one missing
+ * its verdict line, and each score line's embedded CSV row must
+ * parse back to its cell. Returns false with @p err on a log that
+ * belongs to a different scenario or is corrupt.
+ */
 bool
 loadCachedRounds(const std::string &path, const std::string &planLine,
                  std::vector<CachedRound> &cached, std::string *err)
@@ -619,59 +371,22 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
         ladder_tok, promote_tok, ad.minSurvivors, ad.rankAgree,
         ad.sampleInterval);
 
-    TuneContext ctx;
-    ctx.space = &space;
-    ctx.apps = &apps;
-    ctx.insts = spec.insts;
-    ctx.grid = spec.search.dynGrid;
-    ctx.npoints = npoints;
+    const TuneContext ctx{&space, &apps, opt.jobs};
 
-    // ---- executor: local, or cooperative over a manifest dir
-    std::unique_ptr<RoundExecutor> exec;
+    // ---- cooperative mode: join (or create) the manifest
+    std::optional<ClaimDir> claims;
+    unsigned claim_shards = 0;
     if (!opt.claimDir.empty()) {
-        std::string read_err;
-        bool mf_corrupt = false;
-        auto mf = readManifest(opt.claimDir, &read_err, &mf_corrupt);
-        if (!mf) {
-            if (opt.shards == 0)
-                return fail(read_err);
-            // A worker that carries the full spec (--shards set) can
-            // recover a damaged manifest: move it aside, re-create.
-            if (mf_corrupt) {
-                std::string q_err;
-                if (!quarantineManifest(opt.claimDir, &q_err))
-                    return fail(read_err + "; " + q_err);
-            }
-            ManifestInfo info;
-            info.mode = "tune";
-            info.shards = opt.shards;
-            info.scenarioText = spec.printToString();
-            std::string write_err;
-            if (writeManifest(opt.claimDir, info, &write_err)) {
-                mf = info;
-            } else {
-                // Lost the creation race; join what the winner wrote.
-                mf = readManifest(opt.claimDir, &read_err);
-                if (!mf)
-                    return fail(write_err);
-            }
-        }
-        if (mf->mode != "tune")
-            return fail("manifest in '" + opt.claimDir + "' is a " +
-                        mf->mode + " manifest, not a tune");
-        if (mf->scenarioText != spec.printToString())
-            return fail("manifest in '" + opt.claimDir +
-                        "' was created for a different scenario");
-        if (opt.shards != 0 && opt.shards != mf->shards)
-            return fail("--shards " + std::to_string(opt.shards) +
-                        " does not match the manifest's " +
-                        std::to_string(mf->shards));
-        exec = std::make_unique<ClaimExecutor>(
-            ctx, opt.jobs,
-            ClaimDir(opt.claimDir, opt.leaseTimeoutSecs),
-            mf->shards);
-    } else {
-        exec = std::make_unique<LocalExecutor>(ctx, opt.jobs);
+        ManifestInfo want;
+        want.mode = "tune";
+        want.shards = opt.shards;
+        want.scenarioText = spec.printToString();
+        std::string mf_err;
+        const auto mf = openManifest(opt.claimDir, want, &mf_err);
+        if (!mf)
+            return fail(mf_err);
+        claims.emplace(opt.claimDir, opt.leaseTimeoutSecs);
+        claim_shards = mf->shards;
     }
 
     // ---- resume: adopt the complete-round prefix of a prior log
@@ -738,8 +453,10 @@ runAdaptiveSearch(const ParamSpace &space, const TuneOptions &opt,
             records = cached[r].records;
         } else {
             std::string exec_err;
-            auto recs =
-                exec->run(r, engine, candidates, &exec_err);
+            auto recs = claims ? claimRound(ctx, *claims, claim_shards,
+                                            r, engine, candidates,
+                                            &exec_err)
+                               : evaluateRound(ctx, candidates, engine);
             if (!recs) {
                 if (interruptRequested()) {
                     std::cerr << "rcache-sim: interrupted; claimed "

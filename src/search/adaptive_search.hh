@@ -24,8 +24,14 @@
  * The log and the winner CSV are byte-identical across --jobs
  * values, claim workers, and resumes.
  *
+ * Every round evaluates its candidates through CellBatch
+ * (scenario/cell_eval.hh), the plan -> execute -> reduce path the
+ * exhaustive sweep runs, with the rung's engine overriding the
+ * scenario's; the tuner itself only ranks, promotes, and logs.
+ *
  * Cooperative mode: with a claim directory (runner/claim.hh), each
- * round becomes `shards` work units named r<round>_s<shard>; workers
+ * round becomes `shards` work units named r<round>_s<shard>, drained
+ * by the claim loop `sweep --claim` uses too (drainUnits): workers
  * atomically claim units, evaluate their candidate slice, publish
  * the slice as a committed CSV, and barrier on the round before
  * computing the (identical) promotion verdict locally. N workers

@@ -1,17 +1,11 @@
 #include "search/sweep_merge.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
-#include <thread>
 
-#include <unistd.h>
-
-#include "fault/failpoint.hh"
 #include "runner/claim.hh"
 #include "scenario/scenario_sweep.hh"
 #include "sim/report.hh"
@@ -51,152 +45,91 @@ remapCsvError(const std::string &path, const std::string &err)
     return path + ":1: " + err;
 }
 
-/** Read one shard CSV strictly; nullopt with a "<path>:N:" @p err. */
-std::optional<std::vector<SweepRecord>>
-readShardCsv(const std::string &path, std::string *err)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        *err = path + ":1: cannot open";
-        return std::nullopt;
-    }
-    std::string csv_err;
-    auto records = readSweepCsv(is, &csv_err);
-    if (!records) {
-        *err = remapCsvError(path, csv_err);
-        return std::nullopt;
-    }
-    return records;
-}
-
 } // namespace
+
+std::optional<std::vector<SweepRecord>>
+readShardCsvs(const std::vector<std::string> &paths, std::string *err)
+{
+    std::vector<SweepRecord> all;
+    for (const std::string &path : paths) {
+        std::ifstream is(path, std::ios::binary);
+        if (!is) {
+            *err = path + ":1: cannot open";
+            return std::nullopt;
+        }
+        std::string csv_err;
+        const auto records = readSweepCsv(is, &csv_err);
+        if (!records) {
+            *err = remapCsvError(path, csv_err);
+            return std::nullopt;
+        }
+        all.insert(all.end(), records->begin(), records->end());
+    }
+    std::sort(all.begin(), all.end(),
+              [](const SweepRecord &a, const SweepRecord &b) {
+                  return a.cell < b.cell;
+              });
+    return all;
+}
 
 int
 runClaimSweep(const std::optional<ScenarioSpec> &spec,
               const ClaimSweepOptions &opt)
 {
-    // ---- create or join the manifest
-    std::string read_err;
-    bool mf_corrupt = false;
-    auto mf = readManifest(opt.dir, &read_err, &mf_corrupt);
-    if (!mf) {
-        if (!spec)
-            return fail(read_err);
-        if (opt.shards == 0)
-            return fail("creating a manifest in '" + opt.dir +
-                        "' needs --shards N");
-        // A worker that carries the full spec can recover a damaged
-        // manifest: move it aside, re-create from the scenario.
-        if (mf_corrupt) {
-            std::string q_err;
-            if (!quarantineManifest(opt.dir, &q_err))
-                return fail(read_err + "; " + q_err);
-        }
-        ManifestInfo info;
-        info.mode = "sweep";
-        info.shards = opt.shards;
-        info.scenarioText = spec->printToString();
-        std::string write_err;
-        if (writeManifest(opt.dir, info, &write_err)) {
-            mf = info;
-        } else {
-            // Lost the creation race; join what the winner wrote.
-            mf = readManifest(opt.dir, &read_err);
-            if (!mf)
-                return fail(write_err);
-        }
-    }
-    if (mf->mode != "sweep")
-        return fail("manifest in '" + opt.dir + "' is a " +
-                    mf->mode + " manifest, not a sweep");
-    if (spec && spec->printToString() != mf->scenarioText)
-        return fail("manifest in '" + opt.dir +
-                    "' was created for a different scenario");
-    if (opt.shards != 0 && opt.shards != mf->shards)
-        return fail("--shards " + std::to_string(opt.shards) +
-                    " does not match the manifest's " +
-                    std::to_string(mf->shards));
-
-    std::string parse_err;
+    ManifestInfo want;
+    want.mode = "sweep";
+    want.shards = opt.shards;
+    if (spec)
+        want.scenarioText = spec->printToString();
+    std::string err;
+    const auto mf = openManifest(opt.dir, want, &err);
+    if (!mf)
+        return fail(err);
     const auto mf_spec = ScenarioSpec::parseText(
-        mf->scenarioText, opt.dir + "/MANIFEST.scn", &parse_err);
+        mf->scenarioText, opt.dir + "/MANIFEST.scn", &err);
     if (!mf_spec)
-        return fail(parse_err);
-    std::string build_err;
-    const auto space = ParamSpace::build(*mf_spec, &build_err);
+        return fail(err);
+    const auto space = ParamSpace::build(*mf_spec, &err);
     if (!space)
-        return fail(build_err);
+        return fail(err);
 
     // ---- drain units; exit 0 only when the whole scenario is done,
     // so any worker's success certifies the manifest is complete.
+    // A unit is its shard of the scenario, swept into memory with a
+    // lease heartbeat per chunk.
     const ClaimDir claims(opt.dir, opt.leaseTimeoutSecs);
-    const unsigned shards = mf->shards;
-    for (;;) {
-        if (interruptRequested()) {
-            std::cerr << "rcache-sim: interrupted; committed units "
-                         "stay done, rerun to continue '"
-                      << opt.dir << "'\n";
-            return interruptExitCode();
-        }
-        bool progressed = false;
-        for (unsigned u = 0; u < shards; ++u) {
-            const std::string unit = sweepUnitName(u);
-            if (interruptRequested())
-                break;
-            if (claims.isDone(unit) || !claims.tryClaim(unit))
-                continue;
-            SweepOptions so;
-            so.jobs = opt.jobs;
-            so.shard = ShardSpec{u, shards};
-            so.format = "csv";
-            const std::string tmp =
-                claims.path(unit + ".csv.tmp." +
-                            std::to_string(::getpid()));
-            so.outPath = tmp;
-            so.progress = opt.progress;
-            so.quiet = opt.quiet;
-            so.chunkDone = [&](std::size_t) {
-                claims.heartbeat(unit);
-            };
-            const int rc = runScenarioSweep(*space, so);
-            if (rc != 0) {
-                std::remove(tmp.c_str());
-                if (interruptRequested()) {
-                    // Give the unit straight back: a released lease
-                    // is immediately claimable, no timeout needed.
-                    claims.release(unit);
-                    std::cerr << "rcache-sim: interrupted; released "
-                                 "'" << unit << "', rerun to "
-                                 "continue '" << opt.dir << "'\n";
-                    return rc;
-                }
-                // Leave the lease: it goes stale and a peer (or a
-                // rerun) takes the unit over.
-                return rc;
-            }
-            if (RC_FAILPOINT("claim.unit.publish") !=
-                    fault::Fire::None ||
-                std::rename(tmp.c_str(),
-                            claims.path(unit + ".csv").c_str()) != 0)
-                return fail("cannot publish '" +
-                            claims.path(unit + ".csv") + "'");
-            std::string done_err;
-            if (!claims.markDone(unit, &done_err))
-                return fail(done_err);
-            progressed = true;
-        }
-        bool all_done = true;
-        for (unsigned u = 0; u < shards; ++u)
-            if (!claims.isDone(sweepUnitName(u)))
-                all_done = false;
-        if (all_done)
-            break;
-        if (!progressed)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(50));
+    std::vector<std::string> units;
+    for (unsigned u = 0; u < mf->shards; ++u)
+        units.push_back(sweepUnitName(u));
+    int sweep_rc = 0;
+    const auto sweepUnit =
+        [&](std::size_t u) -> std::optional<std::string> {
+        SweepOptions so;
+        so.jobs = opt.jobs;
+        so.shard = ShardSpec{static_cast<unsigned>(u), mf->shards};
+        so.outPath = claims.path(units[u] + ".csv");
+        so.progress = opt.progress;
+        so.quiet = opt.quiet;
+        so.chunkDone = [&](std::size_t) { claims.heartbeat(units[u]); };
+        std::ostringstream csv;
+        sweep_rc = runScenarioSweep(*space, so, csv);
+        if (sweep_rc != 0)
+            return std::nullopt;
+        return csv.str();
+    };
+    err.clear();
+    switch (drainUnits(claims, units, sweepUnit, &err)) {
+    case DrainStatus::AllDone:
+        break;
+    case DrainStatus::Interrupted:
+        std::cerr << "rcache-sim: " << err << ", rerun to continue '"
+                  << opt.dir << "'\n";
+        return interruptExitCode();
+    case DrainStatus::Failed:
+        return err.empty() ? sweep_rc : fail(err);
     }
     if (!opt.quiet)
-        std::cerr << "claim: all " << shards << " unit(s) of '" +
+        std::cerr << "claim: all " << mf->shards << " unit(s) of '" +
                          opt.dir + "' are done\n";
     return 0;
 }
@@ -233,18 +166,11 @@ runSweepMerge(const std::vector<std::string> &inputs,
         }
     }
 
-    std::vector<SweepRecord> all;
-    for (const std::string &path : paths) {
-        std::string err;
-        const auto records = readShardCsv(path, &err);
-        if (!records)
-            return fail(err);
-        all.insert(all.end(), records->begin(), records->end());
-    }
-    std::sort(all.begin(), all.end(),
-              [](const SweepRecord &a, const SweepRecord &b) {
-                  return a.cell < b.cell;
-              });
+    std::string err;
+    const auto merged = readShardCsvs(paths, &err);
+    if (!merged)
+        return fail(err);
+    const std::vector<SweepRecord> &all = *merged;
     // The merged cells must be exactly 0..N-1: a duplicate is a
     // repeated shard, a gap is a missing one. Both are silent-loss
     // bugs if let through, so both are hard errors.

@@ -4,15 +4,15 @@
  * shard-merge engine (`rcache-sim merge`).
  *
  * A claim-mode sweep turns one scenario into `shards` work units
- * (shard_0 ... shard_N-1; runner/claim.hh has the lease protocol)
- * that any number of independent worker processes drain together:
- * each worker loops over the units, claims what is free, sweeps the
- * claimed shard into a committed <unit>.csv (written to a private
- * tmp file and renamed, so readers never see a partial CSV), and
- * marks it done. Workers heartbeat their lease after every completed
- * chunk and take over stale units of crashed peers, and no worker
- * exits successfully until *every* unit is done — so a zero exit
- * from any worker means the whole scenario is drained.
+ * (shard_0 ... shard_N-1) that any number of independent workers
+ * drain together through the claim loop `tune --claim` uses too
+ * (drainUnits, runner/claim.hh): a worker claims a free unit, sweeps
+ * that shard — the ordinary chunked sweep, its report kept in memory
+ * and its lease heartbeated after every chunk — then publishes the
+ * CSV atomically as <unit>.csv and marks the unit done. Stale units
+ * of crashed peers are taken over, and no worker exits successfully
+ * until *every* unit is done — so a zero exit from any worker means
+ * the whole scenario is drained.
  *
  * Merge re-interleaves committed shard CSVs by global cell index
  * into the unsharded report. Because every cell is a pure function
@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "scenario/scenario_spec.hh"
+#include "sim/report.hh"
 
 namespace rcache
 {
@@ -62,6 +63,14 @@ struct ClaimSweepOptions
  */
 int runClaimSweep(const std::optional<ScenarioSpec> &spec,
                   const ClaimSweepOptions &opt);
+
+/**
+ * Read shard or claim-unit CSVs strictly and interleave their rows
+ * by cell index. nullopt with a one-line "<path>:N: why" @p err on
+ * the first unreadable or malformed input.
+ */
+std::optional<std::vector<SweepRecord>>
+readShardCsvs(const std::vector<std::string> &paths, std::string *err);
 
 /**
  * Merge shard CSVs into the unsharded report (@p outPath; empty =

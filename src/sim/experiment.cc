@@ -228,13 +228,6 @@ Experiment::staticSearchJobs(const BenchmarkProfile &profile,
     return searchJobs(profile, side, org, Strategy::Static);
 }
 
-std::vector<RunJob>
-Experiment::dynamicSearchJobs(const BenchmarkProfile &profile,
-                              CacheSide side, Organization org) const
-{
-    return searchJobs(profile, side, org, Strategy::Dynamic);
-}
-
 SearchOutcome
 Experiment::reduceSearch(const RunResult &baseline,
                          const std::vector<SearchCandidate> &candidates,
@@ -272,19 +265,6 @@ Experiment::reduceStatic(const RunResult &baseline,
     for (unsigned level = 0; level < results.size(); ++level)
         candidates.push_back(
             {ResizeSetup{Strategy::Static, level, {}}, ""});
-    return reduceSearch(baseline, candidates, results);
-}
-
-SearchOutcome
-Experiment::reduceDynamic(const RunResult &baseline,
-                          const std::vector<DynamicParams> &grid,
-                          const std::vector<RunResult> &results)
-{
-    std::vector<SearchCandidate> candidates;
-    candidates.reserve(grid.size());
-    for (const DynamicParams &dyn : grid)
-        candidates.push_back(
-            {ResizeSetup{Strategy::Dynamic, 0, dyn}, ""});
     return reduceSearch(baseline, candidates, results);
 }
 

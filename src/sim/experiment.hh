@@ -252,12 +252,6 @@ class Experiment
     staticSearchJobs(const BenchmarkProfile &profile, CacheSide side,
                      Organization org) const;
 
-    /** One job per dynamic-controller grid point, in
-     *  dynamicGrid() order. */
-    std::vector<RunJob>
-    dynamicSearchJobs(const BenchmarkProfile &profile, CacheSide side,
-                      Organization org) const;
-
     /** Both caches resized together under @p org at each side's
      *  profiled static level (the Fig 9 combined point). */
     RunJob bothStaticJob(const BenchmarkProfile &profile,
@@ -275,19 +269,12 @@ class Experiment
     reduceStatic(const RunResult &baseline,
                  const std::vector<RunResult> &results);
 
-    /** Pick the minimum-E.D dynamic point (reduceSearch over @p grid;
-     *  same tie-break); @p grid must parallel @p results. */
-    static SearchOutcome
-    reduceDynamic(const RunResult &baseline,
-                  const std::vector<DynamicParams> &grid,
-                  const std::vector<RunResult> &results);
-
     /**
      * Assemble a side=both outcome (the Fig 9 methodology): the
      * combined run at the two per-side profiled levels is the best
      * point, and the reported level is the dcache side's (matching
-     * the per-side CSV convention). Shared by the sweep engine and
-     * the adaptive search so their rows cannot drift.
+     * the per-side CSV convention). CellBatch
+     * (scenario/cell_eval.hh) folds every side=both cell with it.
      */
     static SearchOutcome reduceBoth(const RunResult &baseline,
                                     const SearchOutcome &dcacheOut,

@@ -210,6 +210,17 @@ check_rejects_oneline("no benchmark matches filter"
                       bench --filter nosuchbench)
 check_prints("detailed_ooo" bench --list)
 check_prints("--out-dir" bench --help)
+# A missing --out-dir is created (parents included), not reported as
+# a failed write per benchmark.
+set(BENCH_DIR "${CMAKE_CURRENT_BINARY_DIR}/bench_out_dir_cli")
+file(REMOVE_RECURSE ${BENCH_DIR})
+check_accepts(bench --quick --filter cache_access_stream
+              --out-dir ${BENCH_DIR}/nested)
+if(NOT EXISTS ${BENCH_DIR}/nested/BENCH_cache_access_stream.json)
+  message(SEND_ERROR
+          "bench --out-dir did not create ${BENCH_DIR}/nested")
+endif()
+file(REMOVE_RECURSE ${BENCH_DIR})
 
 # ---- happy paths still exit 0
 check_accepts(list-apps)

@@ -48,9 +48,9 @@ mixedBatch(const Experiment &exp)
                                       Organization::SelectiveSets);
         jobs.insert(jobs.end(), s.begin(), s.end());
     }
-    auto d = exp.dynamicSearchJobs(profileByName("swim"),
-                                   CacheSide::DCache,
-                                   Organization::SelectiveSets);
+    auto d = exp.searchJobs(profileByName("swim"), CacheSide::DCache,
+                            Organization::SelectiveSets,
+                            Strategy::Dynamic);
     jobs.insert(jobs.end(), d.begin(), d.begin() + 6);
     return jobs;
 }

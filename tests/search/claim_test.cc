@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "runner/claim.hh"
 #include "scenario/scenario_sweep.hh"
@@ -177,6 +180,61 @@ TEST(ClaimTest, LeaseLifecycleAndStaleTakeover)
     EXPECT_TRUE(claims.isDone("u0"));
     EXPECT_FALSE(claims.tryClaim("u0"));
     EXPECT_FALSE(std::filesystem::exists(dir + "/u0.lease"));
+}
+
+TEST(ClaimTest, SecondWorkerInProcessCannotReleaseFirstsLease)
+{
+    // Two workers in one process share a pid; only their identity
+    // tokens tell their leases apart.
+    const std::string dir = freshDir("claim_identity");
+    std::filesystem::create_directories(dir);
+    const ClaimDir first(dir, 300);
+    const ClaimDir second(dir, 300);
+
+    ASSERT_TRUE(first.tryClaim("u0"));
+    EXPECT_FALSE(second.tryClaim("u0"));
+    EXPECT_FALSE(second.release("u0"));
+    EXPECT_TRUE(std::filesystem::exists(dir + "/u0.lease"));
+    EXPECT_TRUE(first.release("u0"));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/u0.lease"));
+}
+
+TEST(ClaimTest, ConcurrentAtomicWritesOfOnePathAllPublish)
+{
+    const std::string dir = freshDir("claim_atomic");
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/unit.csv";
+    constexpr int kWriters = 8;
+    std::vector<std::string> payloads;
+    for (int i = 0; i < kWriters; ++i)
+        payloads.push_back(
+            std::string(1 << 16, static_cast<char>('a' + i)) + "\n");
+
+    for (int round = 0; round < 10; ++round) {
+        std::atomic<int> ready{0};
+        std::vector<int> ok(kWriters, 0);
+        std::vector<std::string> errs(kWriters);
+        std::vector<std::thread> writers;
+        for (int i = 0; i < kWriters; ++i)
+            writers.emplace_back([&, i] {
+                ++ready;
+                while (ready.load() < kWriters)
+                    std::this_thread::yield();
+                ok[i] = atomicWriteFile(path, payloads[i], &errs[i]);
+            });
+        for (std::thread &t : writers)
+            t.join();
+        for (int i = 0; i < kWriters; ++i)
+            EXPECT_TRUE(ok[i]) << "writer " << i << ": " << errs[i];
+        // The last rename wins whole: never a torn or mixed file.
+        const std::string got = slurp(path);
+        EXPECT_NE(std::find(payloads.begin(), payloads.end(), got),
+                  payloads.end())
+            << "round " << round << ": payload is not one writer's";
+    }
+    // No tmp file outlives its writer.
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        EXPECT_EQ(entry.path().filename().string(), "unit.csv");
 }
 
 TEST(ClaimTest, ClaimSweepPlusMergeMatchesSingleProcess)

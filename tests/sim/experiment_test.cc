@@ -137,11 +137,13 @@ TEST(ExperimentTest, TieBreakPrefersLargerCacheLowerIndex)
     EXPECT_DOUBLE_EQ(out.best.edp(), 800.0);
 
     // Same contract through the dynamic reduction.
-    std::vector<DynamicParams> grid(results.size());
-    for (std::size_t i = 0; i < grid.size(); ++i)
-        grid[i].intervalAccesses = 1024 * (i + 1);
+    std::vector<SearchCandidate> grid(results.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        grid[i].setup.strategy = Strategy::Dynamic;
+        grid[i].setup.dyn.intervalAccesses = 1024 * (i + 1);
+    }
     const SearchOutcome dyn =
-        Experiment::reduceDynamic(base, grid, results);
+        Experiment::reduceSearch(base, grid, results);
     EXPECT_EQ(dyn.bestParams.intervalAccesses, 2 * 1024u);
 }
 
