@@ -124,8 +124,8 @@ knownFailpoints()
 {
     static const std::vector<SiteInfo> registry = {
         {"claim.manifest.scn.after",
-         "after MANIFEST.scn publishes, before the MANIFEST.meta "
-         "commit"},
+         "after the creator wins MANIFEST.meta and publishes "
+         "MANIFEST.scn, before the meta is written"},
         {"claim.manifest.meta.write",
          "while writing MANIFEST.meta (the manifest commit point; "
          "torn leaves a partial meta)"},

@@ -108,29 +108,34 @@ writeManifest(const std::string &dir, const ManifestInfo &info,
                    "': " + ec.message();
         return false;
     }
-    // The scenario text is written (atomically — a losing creator
-    // re-publishes it after the winner's commit, and readers must
-    // never catch a truncated window) before the meta file, whose
-    // O_EXCL create is the commit point: a manifest without meta is
-    // "still being created", one with it is immutable. Exactly one
-    // concurrent creator wins the create.
-    if (!atomicWriteFile(join(dir, scnName), info.scenarioText, err))
-        return false;
-    if (RC_FAILPOINT("claim.manifest.scn.after") !=
-        fault::Fire::None) {
-        if (err)
-            *err = "cannot create '" + join(dir, metaName) +
-                   "': injected io_error";
-        return false;
-    }
-    const int fd = ::open(join(dir, metaName).c_str(),
-                          O_CREAT | O_EXCL | O_WRONLY, 0644);
+    // MANIFEST.meta's O_EXCL create is the commit point: exactly one
+    // concurrent creator wins it, and only the winner then publishes
+    // the scenario text, so a losing creator never touches the
+    // winner's files. The meta contents go last: a meta with a shard
+    // count always has its MANIFEST.scn, and an empty one reads as
+    // "still being created" (openManifest's grace period) or, if its
+    // creator died, as damage that a worker can quarantine.
+    const std::string meta_path = join(dir, metaName);
+    const int fd =
+        ::open(meta_path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
     if (fd < 0) {
         if (err)
             *err = errno == EEXIST
                        ? "manifest already exists in '" + dir + "'"
-                       : "cannot create '" + join(dir, metaName) +
+                       : "cannot create '" + meta_path +
                              "': " + std::strerror(errno);
+        return false;
+    }
+    if (!atomicWriteFile(join(dir, scnName), info.scenarioText, err)) {
+        ::close(fd);
+        return false;
+    }
+    if (RC_FAILPOINT("claim.manifest.scn.after") !=
+        fault::Fire::None) {
+        ::close(fd);
+        if (err)
+            *err = "cannot write '" + meta_path +
+                   "': injected io_error";
         return false;
     }
     std::ostringstream meta;
@@ -151,7 +156,7 @@ writeManifest(const std::string &dir, const ManifestInfo &info,
             static_cast<ssize_t>(text.size());
     ::close(fd);
     if (!ok && err)
-        *err = "cannot write '" + join(dir, metaName) + "'";
+        *err = "cannot write '" + meta_path + "'";
     return ok;
 }
 
@@ -237,10 +242,10 @@ openManifest(const std::string &dir, const ManifestInfo &want,
             *err = why;
         return std::nullopt;
     };
-    // A creator commits MANIFEST.meta with an O_EXCL create followed
-    // by a write, so a reader can catch it empty for a moment: give a
-    // damaged-looking manifest a short grace period before treating
-    // it as damage.
+    // A creator commits MANIFEST.meta with an O_EXCL create, then
+    // publishes MANIFEST.scn and writes the meta, so a reader can
+    // catch the meta empty for a moment: give a damaged-looking
+    // manifest a short grace period before treating it as damage.
     std::string read_err;
     bool corrupt = false;
     const auto read = [&] {

@@ -61,8 +61,9 @@ struct ManifestInfo
 
 /**
  * Create @p dir (and parents) and write its manifest. Exactly one
- * concurrent creator wins; losers see the existing manifest via
- * readManifest and must verify it matches what they wanted.
+ * concurrent creator wins; losers write nothing, see the existing
+ * manifest via readManifest, and must verify it matches what they
+ * wanted.
  * @return false with @p err set when the manifest already exists or
  * cannot be written.
  */

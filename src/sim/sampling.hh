@@ -62,7 +62,7 @@ struct SamplingConfig
     /**
      * Why (interval, detailed, warmup) is not a valid sampled shape,
      * or nullptr if it is. The single source of the shape rules —
-     * validate(), the CLI's --sample parsing, and the benches'
+     * validate(), the --engine / [engine] parsers, and the benches'
      * RCACHE_SAMPLE knob all call this, so the layers cannot drift.
      * Overflow-safe for any uint64 inputs.
      */
@@ -109,9 +109,10 @@ struct SamplingConfig
     std::uint64_t measuredInsts(std::uint64_t total) const;
 
     /** @name Derived defaults
-     * The single source for the documented `--sample` /
-     * `RCACHE_SAMPLE` defaulting rules, shared by the CLI and the
-     * benches so the two knobs cannot drift apart.
+     * The single source for the documented `--engine sampled` /
+     * `RCACHE_SAMPLE` defaulting rules, shared by the CLI, the
+     * scenario parser, and the benches so the knobs cannot drift
+     * apart.
      */
     /// @{
     /** Default measured window: a tenth of the period, at least 1. */

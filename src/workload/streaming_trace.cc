@@ -603,7 +603,8 @@ StreamingTraceWorkload::open(const TraceSpec &spec,
 }
 
 std::size_t
-StreamingTraceWorkload::decodeSome(MicroInst *buf, std::size_t n)
+StreamingTraceWorkload::decodeSome(MicroInst *buf, std::size_t n,
+                                   std::string *err)
 {
     std::size_t filled = 0;
     while (filled < n) {
@@ -620,9 +621,13 @@ StreamingTraceWorkload::decodeSome(MicroInst *buf, std::size_t n)
         const std::size_t want = static_cast<std::size_t>(
             std::min<std::uint64_t>(n - filled, until_boundary));
         std::size_t got = 0;
-        std::string err;
-        if (!decoder_->decode(buf + filled, want, &got, &err))
-            rc_fatal("malformed trace record: " + err);
+        std::string why;
+        if (!decoder_->decode(buf + filled, want, &got, &why)) {
+            if (!err)
+                rc_fatal("malformed trace record: " + why);
+            *err = why;
+            return 0;
+        }
         filled += got;
         cursor_ += got;
         if (got < want)
@@ -654,19 +659,26 @@ StreamingTraceWorkload::seekToRecord(std::uint64_t target)
     }
 }
 
-void
-StreamingTraceWorkload::ensureLength()
+bool
+StreamingTraceWorkload::ensureLength(std::string *err)
 {
     if (len_)
-        return;
+        return true;
     // Finish the first pass, decode-and-discarding into the chunk
     // buffer (any undelivered records are restored by the re-seek).
-    while (decodeSome(chunk_.data(), chunkRecords) != 0) {
+    std::string why;
+    while (decodeSome(chunk_.data(), chunkRecords,
+                      err ? &why : nullptr) != 0) {
+    }
+    if (!why.empty()) {
+        *err = why;
+        return false;
     }
     len_ = cursor_;
     rc_assert(len_ > 0);
     pos_ %= len_;
     seekToRecord(pos_);
+    return true;
 }
 
 void
@@ -737,10 +749,9 @@ StreamingTraceWorkload::skip(std::uint64_t n)
 }
 
 std::uint64_t
-StreamingTraceWorkload::records()
+StreamingTraceWorkload::records(std::string *err)
 {
-    ensureLength();
-    return len_;
+    return ensureLength(err) ? len_ : 0;
 }
 
 std::size_t

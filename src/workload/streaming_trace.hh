@@ -79,9 +79,11 @@ class StreamingTraceWorkload final : public Workload
     /**
      * Total records in the trace. Known after the first complete
      * pass; calling this earlier forces the remainder of that pass
-     * (decode-and-discard, builds the seek index).
+     * (decode-and-discard, builds the seek index). A malformed
+     * record on that pass is fatal, or, given @p err, returns 0 with
+     * @p err set to "path:line: why" (the workload is then unusable).
      */
-    std::uint64_t records();
+    std::uint64_t records(std::string *err = nullptr);
 
     /** @name Bounded-memory accounting (for tests)
      * Upper bound of bytes this workload holds across its chunk
@@ -100,11 +102,15 @@ class StreamingTraceWorkload final : public Workload
     void refill();
     /** Reposition the decoder at record @p target via the index. */
     void seekToRecord(std::uint64_t target);
-    /** Finish the first pass so len_ and the index are complete. */
-    void ensureLength();
+    /** Finish the first pass so len_ and the index are complete.
+     *  @return false with @p err set on malformed input (fatal when
+     *  @p err is null) */
+    bool ensureLength(std::string *err = nullptr);
     /** Decode up to @p n records at the cursor, maintaining the
-     *  checkpoint index. EOF returns 0. Malformed input is fatal. */
-    std::size_t decodeSome(MicroInst *buf, std::size_t n);
+     *  checkpoint index. EOF returns 0. Malformed input is fatal, or
+     *  returns 0 with @p err set when @p err is given. */
+    std::size_t decodeSome(MicroInst *buf, std::size_t n,
+                           std::string *err = nullptr);
 
     std::unique_ptr<TraceDecoder> decoder_;
     std::string name_;

@@ -1,7 +1,7 @@
 #include "workload/trace_io.hh"
 
 #include <charconv>
-#include <fstream>
+#include <ostream>
 #include <string_view>
 
 #include "util/logging.hh"
@@ -224,54 +224,6 @@ parseTraceLine(const std::string &line, MicroInst &m,
         }
     }
     return true;
-}
-
-bool
-readTraceStrict(std::istream &is, const std::string &file,
-                std::vector<MicroInst> &out, std::string *err)
-{
-    std::string line;
-    std::uint64_t lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (line.empty() || line[0] == '#')
-            continue;
-        MicroInst m;
-        std::string why;
-        if (!parseTraceLine(line, m, &why)) {
-            if (err)
-                *err = file + ":" + std::to_string(lineno) + ": " +
-                       why;
-            return false;
-        }
-        out.push_back(m);
-    }
-    return true;
-}
-
-std::vector<MicroInst>
-readTrace(std::istream &is)
-{
-    std::vector<MicroInst> out;
-    std::string err;
-    if (!readTraceStrict(is, "trace", out, &err))
-        rc_fatal("malformed trace line: " + err);
-    return out;
-}
-
-TraceWorkload
-loadTraceWorkload(const std::string &path, const std::string &name)
-{
-    std::ifstream f(path);
-    if (!f)
-        rc_fatal("cannot open trace file: " + path);
-    std::vector<MicroInst> insts;
-    std::string err;
-    if (!readTraceStrict(f, path, insts, &err))
-        rc_fatal("malformed trace line: " + err);
-    if (insts.empty())
-        rc_fatal("trace file is empty: " + path);
-    return TraceWorkload(std::move(insts), name);
 }
 
 } // namespace rcache

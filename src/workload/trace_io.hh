@@ -1,8 +1,10 @@
 /**
  * @file
- * Trace file I/O: record a workload's stream to a portable text
- * format and replay it later, so users can drive the simulator with
- * their own reference streams instead of the synthetic profiles.
+ * The native trace format: record a workload's stream as portable
+ * text, and parse it back one line at a time. Files are read by
+ * StreamingTraceWorkload (streaming_trace.hh), whose native decoder
+ * calls parseTraceLine, so users can drive the simulator with their
+ * own reference streams instead of the synthetic profiles.
  *
  * Format: one instruction per line,
  *   <op> <pc-hex> <eff-addr-hex> <latency> <dep1> <dep2> <taken>
@@ -13,8 +15,8 @@
  * trailing junk after a valid numeric prefix), out-of-range values
  * (latency/deps above 255, hex wider than 64 bits) are rejected
  * instead of silently wrapped, and negative values never parse (the
- * numeric fields are unsigned). Errors carry `file:line:` prefixes so
- * the CLI can report them one-line and exit 2.
+ * numeric fields are unsigned). The streaming reader prefixes errors
+ * with `file:line:` so the CLI can report them one-line and exit 2.
  */
 
 #ifndef RCACHE_WORKLOAD_TRACE_IO_HH
@@ -22,7 +24,6 @@
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "workload/workload.hh"
 
@@ -44,25 +45,6 @@ void writeTraceLine(std::ostream &os, const MicroInst &m);
  */
 bool parseTraceLine(const std::string &line, MicroInst &m,
                     std::string *why);
-
-/**
- * Parse a trace stream strictly. On a malformed line stops and
- * returns false with @p err set to "<file>:<line>: <why>"; @p file is
- * only used for the diagnostic.
- */
-bool readTraceStrict(std::istream &is, const std::string &file,
-                     std::vector<MicroInst> &out, std::string *err);
-
-/**
- * Parse a trace stream. Malformed lines are a user error (fatal).
- * @return the parsed instructions, in order
- */
-std::vector<MicroInst> readTrace(std::istream &is);
-
-/** Convenience: read a trace file into a replayable workload.
- *  Fatal if the file cannot be opened or parsed. */
-TraceWorkload loadTraceWorkload(const std::string &path,
-                                const std::string &name = "trace");
 
 /** Single-character opcode used in the trace format. */
 char opClassCode(OpClass op);

@@ -115,10 +115,8 @@ check_rejects_oneline("need --cores >= 3"
 check_rejects_oneline("--quantum needs --cores > 1"
                       run --app gcc --quantum 1000 --insts 1000)
 check_rejects_oneline("no effect under a sampled engine"
-                      run --mix gcc+swim --sample 20000
-                      --quantum 1000 --insts 40000)
-check_rejects_oneline("no effect under a sampled engine"
-                      sweep --mix gcc+swim --sample 20000
+                      sweep --mix gcc+swim --engine
+                      sampled:interval=20000
                       --quantum 1000 --insts 40000)
 check_rejects_oneline("no effect under a sampled engine"
                       run --mix gcc+swim --engine
@@ -150,8 +148,14 @@ check_rejects_oneline("'interval' must be > 0"
 check_rejects_oneline("must fit in the sample period"
                       run --app ammp
                       --engine sampled:interval=1000,detail=900,warmup=200)
-check_rejects_oneline("conflict with --engine"
-                      run --app ammp --engine analytic --sample 1000)
+check_rejects_oneline("sample detail must be > 0"
+                      run --app ammp
+                      --engine sampled:interval=1000,detail=0)
+# Overflow-safe shape check: a warmup near 2^64 must be rejected, not
+# wrapped into a tiny sum that passes and hangs the run.
+check_rejects_oneline("must fit in the sample period"
+                      run --app ammp --engine
+                      sampled:interval=1000,warmup=18446744073709551000)
 # The analytic engine's validity envelope is enforced up front.
 check_rejects_oneline("single core only"
                       run --mix gcc+swim --engine analytic
@@ -161,21 +165,19 @@ check_rejects_oneline("prices static geometries only"
                       --dl1-org ways --dl1-strategy dynamic
                       --insts 1000)
 
-# ---- deprecated sampling flags (accepted, mapped, warned)
-check_rejects_oneline("wants a period > 0"
-                      run --app ammp --sample 0)
-check_rejects_oneline("need --sample"
-                      run --app ammp --sample-detail 100)
-check_rejects_oneline("must fit in the sample period"
-                      run --app ammp --sample 1000
-                      --sample-detail 900 --sample-warmup 200)
-check_rejects_oneline("detail must be > 0"
-                      run --app ammp --sample 1000 --sample-detail 0)
-# Overflow-safe shape check: a warmup near 2^64 must be rejected, not
-# wrapped into a tiny sum that passes and hangs the run.
-check_rejects_oneline("must fit in the sample period"
-                      run --app ammp --sample 1000
-                      --sample-warmup 18446744073709551000)
+# ---- --engine is the only engine spelling: the retired --sample
+# flags and [sampling] section are unknown like any other
+check_rejects_oneline("unknown option '--sample' for 'run'"
+                      run --app ammp --sample 1000)
+check_rejects_oneline("unknown option '--sample' for 'sweep'"
+                      sweep --apps ammp --sample 1000)
+set(RETIRED_SCN "${CMAKE_CURRENT_BINARY_DIR}/retired_sampling.scn")
+file(WRITE ${RETIRED_SCN} "[scenario]\nname = old\n[sampling]\n"
+     "interval = 50000\n")
+check_rejects_oneline(
+  "retired_sampling.scn:3: unknown section '\\[sampling\\]'"
+  scenario check ${RETIRED_SCN})
+file(REMOVE ${RETIRED_SCN})
 
 # ---- scenario subcommand + sweep scenario/shard/resume flags
 check_rejects_oneline("scenario needs a mode" scenario)
@@ -225,8 +227,6 @@ file(REMOVE_RECURSE ${BENCH_DIR})
 # ---- happy paths still exit 0
 check_accepts(list-apps)
 check_accepts(--help)
-check_accepts(run --app ammp --insts 20000
-              --sample 10000 --sample-detail 2000 --sample-warmup 1000)
 check_accepts(run --app ammp --insts 20000 --engine analytic)
 check_accepts(run --app ammp --insts 20000
               --engine sampled:interval=10000,detail=2000,warmup=1000)
@@ -238,7 +238,6 @@ check_prints("--shard" sweep --help)
 check_prints("--il1-org" run --help)
 check_prints("--engine" run --help)
 check_prints("--engine" sweep --help)
-check_prints("deprecated" run --help)
 check_prints("--trace" replay --help)
 check_prints("design-space sweep" sweep --help)
 check_prints("check FILE" scenario --help)

@@ -146,6 +146,28 @@ TEST(ClaimTest, ManifestCreateReadAndDoubleCreate)
     EXPECT_NE(err.find("--shards"), std::string::npos);
 }
 
+TEST(ClaimTest, LosingCreatorLeavesWinnersScenario)
+{
+    const std::string dir = freshDir("claim_manifest_race");
+    ManifestInfo a;
+    a.shards = 2;
+    a.scenarioText = "[scenario]\nname = a\n";
+    ManifestInfo b = a;
+    b.scenarioText = "[scenario]\nname = b\n";
+
+    std::string err;
+    ASSERT_TRUE(openManifest(dir, a, &err)) << err;
+    // A creator that loses the commit must not publish its own text
+    // over the winner's: joiners would verify against the wrong
+    // scenario.
+    EXPECT_FALSE(writeManifest(dir, b, &err));
+    EXPECT_NE(err.find("already exists"), std::string::npos) << err;
+    EXPECT_EQ(slurp(dir + "/MANIFEST.scn"), a.scenarioText);
+    const auto back = readManifest(dir, &err);
+    ASSERT_TRUE(back) << err;
+    EXPECT_EQ(back->scenarioText, a.scenarioText);
+}
+
 TEST(ClaimTest, LeaseLifecycleAndStaleTakeover)
 {
     const std::string dir = freshDir("claim_lease");

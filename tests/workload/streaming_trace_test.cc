@@ -51,6 +51,24 @@ writeNativeFixture(const std::string &path, const std::string &app,
     return insts;
 }
 
+/** Parse native-format @p text line by line with parseTraceLine. */
+std::vector<MicroInst>
+parseNative(const std::string &text)
+{
+    std::vector<MicroInst> out;
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        MicroInst m;
+        std::string why;
+        EXPECT_TRUE(parseTraceLine(line, m, &why)) << why;
+        out.push_back(m);
+    }
+    return out;
+}
+
 /** One rocksdb block-cache CSV row. */
 std::string
 rocksdbRow(std::uint64_t block_id, std::uint64_t caller)
@@ -344,10 +362,7 @@ TEST(StreamingTraceTest, ConvertRewritesAsNative)
     std::ostringstream converted;
     ASSERT_TRUE(convertTraceToNative(spec, converted, 0, &err)) << err;
 
-    std::istringstream back(converted.str());
-    std::vector<MicroInst> parsed;
-    ASSERT_TRUE(readTraceStrict(back, "converted", parsed, &err))
-        << err;
+    const std::vector<MicroInst> parsed = parseNative(converted.str());
     ASSERT_EQ(parsed.size(), 50u);
 
     auto wl = openSpec("trace:" + path);
@@ -358,10 +373,7 @@ TEST(StreamingTraceTest, ConvertRewritesAsNative)
     // The limit stops the conversion early.
     std::ostringstream limited;
     ASSERT_TRUE(convertTraceToNative(spec, limited, 2, &err)) << err;
-    std::istringstream back2(limited.str());
-    std::vector<MicroInst> two;
-    ASSERT_TRUE(readTraceStrict(back2, "converted", two, &err));
-    EXPECT_EQ(two.size(), 2u);
+    EXPECT_EQ(parseNative(limited.str()).size(), 2u);
     std::remove(path.c_str());
 }
 

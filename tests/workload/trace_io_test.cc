@@ -6,10 +6,42 @@
 #include <sstream>
 
 #include "workload/profiles.hh"
+#include "workload/streaming_trace.hh"
 #include "workload/trace_io.hh"
+#include "workload/workload_factory.hh"
 
 namespace rcache
 {
+
+namespace
+{
+
+/** Write @p text to a temp file and open it as a native trace. */
+std::unique_ptr<StreamingTraceWorkload>
+openText(const std::string &name, const std::string &text,
+         std::string *err)
+{
+    TraceSpec spec;
+    spec.path = testing::TempDir() + "rcache_trace_io_" + name;
+    std::ofstream(spec.path) << text;
+    return StreamingTraceWorkload::open(spec, name, err);
+}
+
+/** Every record of the native trace @p text, in order. */
+std::vector<MicroInst>
+readAll(const std::string &name, const std::string &text)
+{
+    std::string err;
+    const auto wl = openText(name, text, &err);
+    EXPECT_TRUE(wl) << err;
+    if (!wl)
+        return {};
+    std::vector<MicroInst> out(wl->records());
+    wl->nextBatch(out.data(), out.size());
+    return out;
+}
+
+} // namespace
 
 TEST(TraceIoTest, OpCodesRoundTrip)
 {
@@ -32,7 +64,7 @@ TEST(TraceIoTest, WriteThenReadRoundTrips)
     std::stringstream buf;
     writeTrace(buf, src, 500);
 
-    auto insts = readTrace(buf);
+    const auto insts = readAll("roundtrip.trace", buf.str());
     ASSERT_EQ(insts.size(), 500u);
 
     // Replaying the source must give identical instructions.
@@ -61,49 +93,64 @@ TEST(TraceIoTest, WriteReadWriteIsByteIdentical)
     std::stringstream first;
     writeTrace(first, src, 300);
 
-    TraceWorkload replay(readTrace(first), "replay");
+    std::string err;
+    const auto replay = openText("rewrite.trace", first.str(), &err);
+    ASSERT_TRUE(replay) << err;
     std::stringstream second;
-    writeTrace(second, replay, 300);
+    writeTrace(second, *replay, 300);
 
     EXPECT_EQ(first.str(), second.str());
 }
 
 TEST(TraceIoTest, CommentsAndBlankLinesIgnored)
 {
-    std::stringstream buf;
-    buf << "# a comment\n\nI 400000 0 1 0 0 0\n";
-    auto insts = readTrace(buf);
+    const auto insts =
+        readAll("comments.trace", "# a comment\n\nI 400000 0 1 0 0 0\n");
     ASSERT_EQ(insts.size(), 1u);
     EXPECT_EQ(insts[0].pc, 0x400000u);
 }
 
 TEST(TraceIoDeathTest, MalformedLineFatal)
 {
-    std::stringstream buf;
-    buf << "L not-a-number\n";
-    EXPECT_EXIT(readTrace(buf), testing::ExitedWithCode(1),
-                "malformed trace line: trace:1:");
+    // Past the eagerly decoded first chunk, a malformed line is met
+    // mid-stream, where the workload has no error channel.
+    std::string text;
+    for (std::size_t i = 0; i < StreamingTraceWorkload::chunkRecords;
+         ++i)
+        text += "I 400000 0 1 0 0 0\n";
+    text += "L not-a-number\n";
+    std::string err;
+    const auto wl = openText("late_bad.trace", text, &err);
+    ASSERT_TRUE(wl) << err;
+    EXPECT_EXIT(wl->records(), testing::ExitedWithCode(1),
+                "malformed trace record: .*late_bad.trace:4097:");
 }
 
 TEST(TraceIoDeathTest, MissingFileFatal)
 {
-    EXPECT_EXIT(loadTraceWorkload("/nonexistent/trace.txt"),
-                testing::ExitedWithCode(1), "cannot open");
+    // Trace workloads are preflighted by the CLI; one whose file
+    // vanished by the time a run builds it is fatal.
+    BenchmarkProfile p;
+    std::string err;
+    ASSERT_TRUE(
+        traceProfileFromSpec("trace:/nonexistent/trace.txt", &p, &err))
+        << err;
+    EXPECT_EXIT(makeWorkload(p), testing::ExitedWithCode(1),
+                "cannot open");
 }
 
 TEST(TraceIoTest, LoadedTraceDrivesWorkload)
 {
     SyntheticWorkload src(profileByName("ammp"));
-    const std::string path = "/tmp/rcache_trace_test.txt";
-    {
-        std::ofstream f(path);
-        writeTrace(f, src, 100);
-    }
-    TraceWorkload wl = loadTraceWorkload(path, "recorded");
-    EXPECT_EQ(wl.name(), "recorded");
+    std::stringstream buf;
+    writeTrace(buf, src, 100);
+    std::string err;
+    const auto wl = openText("recorded", buf.str(), &err);
+    ASSERT_TRUE(wl) << err;
+    EXPECT_EQ(wl->name(), "recorded");
     src.reset();
     for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(wl.next().pc, src.next().pc);
+        EXPECT_EQ(wl->next().pc, src.next().pc);
 }
 
 } // namespace rcache

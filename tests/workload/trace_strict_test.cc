@@ -5,13 +5,15 @@
  * trailing junk after valid numeric prefixes, out-of-range values
  * silently wrapped into uint8 casts, negative latencies — must now be
  * rejected with a one-line explanation, and errors surfaced through
- * readTraceStrict carry a file:line prefix the CLI reports verbatim.
+ * the streaming reader carry a file:line prefix the CLI reports
+ * verbatim.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <fstream>
 
+#include "workload/streaming_trace.hh"
 #include "workload/trace_io.hh"
 
 namespace rcache
@@ -19,6 +21,16 @@ namespace rcache
 
 namespace
 {
+
+/** Write @p text to a temp file; its spec opens it as native. */
+TraceSpec
+writeFile(const std::string &name, const std::string &text)
+{
+    TraceSpec spec;
+    spec.path = testing::TempDir() + name;
+    std::ofstream(spec.path) << text;
+    return spec;
+}
 
 struct BadLine
 {
@@ -120,30 +132,45 @@ TEST(TraceStrictTest, GoodLinesStillParse)
 
 TEST(TraceStrictTest, StrictReaderReportsFileAndLine)
 {
-    std::stringstream buf;
-    buf << "# header\n"
-        << "L 400000 10000 1 0 0 0\n"
-        << "L 400000 10000 300 0 0 0\n";
-    std::vector<MicroInst> out;
+    // A bad line in the eagerly decoded first chunk fails open().
+    const TraceSpec early = writeFile("demo.txt",
+                                      "# header\n"
+                                      "L 400000 10000 1 0 0 0\n"
+                                      "L 400000 10000 300 0 0 0\n");
     std::string err;
-    EXPECT_FALSE(readTraceStrict(buf, "demo.txt", out, &err));
+    EXPECT_FALSE(StreamingTraceWorkload::open(early, "demo", &err));
     EXPECT_NE(err.find("demo.txt:3: "), std::string::npos) << err;
     EXPECT_NE(err.find("latency out of range"), std::string::npos)
+        << err;
+
+    // A bad line past it fails the length pass, with the same prefix.
+    std::string text;
+    for (std::size_t i = 0; i < StreamingTraceWorkload::chunkRecords;
+         ++i)
+        text += "L 400000 10000 1 0 0 0\n";
+    text += "L 400000 10000 300 0 0 0\n";
+    const TraceSpec late = writeFile("demo_late.txt", text);
+    const auto wl = StreamingTraceWorkload::open(late, "demo", &err);
+    ASSERT_TRUE(wl) << err;
+    EXPECT_EQ(wl->records(&err), 0u);
+    EXPECT_NE(err.find("demo_late.txt:4097: latency out of range"),
+              std::string::npos)
         << err;
 }
 
 TEST(TraceStrictTest, StrictReaderAcceptsCleanStream)
 {
-    std::stringstream buf;
-    buf << "# rcache trace v1\n"
-        << "\n"
-        << "I 400000 0 1 0 0 0\n"
-        << "B 400004 0 1 0 0 1 400000\n";
-    std::vector<MicroInst> out;
+    const TraceSpec spec = writeFile("clean.txt",
+                                     "# rcache trace v1\n"
+                                     "\n"
+                                     "I 400000 0 1 0 0 0\n"
+                                     "B 400004 0 1 0 0 1 400000\n");
     std::string err;
-    ASSERT_TRUE(readTraceStrict(buf, "demo.txt", out, &err)) << err;
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[1].target, 0x400000u);
+    const auto wl = StreamingTraceWorkload::open(spec, "clean", &err);
+    ASSERT_TRUE(wl) << err;
+    ASSERT_EQ(wl->records(&err), 2u) << err;
+    wl->next();
+    EXPECT_EQ(wl->next().target, 0x400000u);
 }
 
 } // namespace rcache

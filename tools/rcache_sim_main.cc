@@ -54,7 +54,6 @@
 #include "telemetry/trace_events.hh"
 #include "util/checked_io.hh"
 #include "util/interrupt.hh"
-#include "util/logging.hh"
 #include "cache/replacement.hh"
 #include "workload/profiles.hh"
 #include "workload/streaming_trace.hh"
@@ -166,8 +165,7 @@ knownOptions(const std::string &cmd)
         add({"--scenario", "--shard", "--resume", "--insts", "--jobs",
              "--assoc", "--apps", "--orgs", "--strategies", "--side",
              "--cores", "--mix", "--quantum", "--policy", "--format",
-             "--out", "--progress", "--engine", "--sample",
-             "--sample-detail", "--sample-warmup", "--timeline",
+             "--out", "--progress", "--engine", "--timeline",
              "--events", "--trace-events", "--timeline-interval",
              "--claim", "--shards", "--lease-timeout",
              "--failpoint"});
@@ -177,8 +175,7 @@ knownOptions(const std::string &cmd)
              "--failpoint"});
     } else if (cmd == "run") {
         add({"--insts", "--assoc", "--app", "--cores", "--mix",
-             "--quantum", "--policy", "--engine", "--sample",
-             "--sample-detail", "--sample-warmup", "--timeline",
+             "--quantum", "--policy", "--engine", "--timeline",
              "--events", "--trace-events", "--timeline-interval",
              "--failpoint"});
         for (const auto &k : setupKeys())
@@ -275,12 +272,6 @@ optionHelp(const std::string &key)
         {"--engine",
          "simulation engine: full | sampled[:interval=N,detail=N,"
          "warmup=N] | analytic (default full)"},
-        {"--sample",
-         "deprecated: --engine sampled with period N insts"},
-        {"--sample-detail",
-         "deprecated: sampled-engine measured insts (default N/10)"},
-        {"--sample-warmup",
-         "deprecated: sampled-engine warmup insts (default N/5)"},
         {"--app",
          "profile to run (see list-apps), or trace:PATH[:FORMAT] to "
          "stream an on-disk trace"},
@@ -538,76 +529,17 @@ preflightScenarioTraces(const ScenarioSpec &spec)
     return preflightTraceSpecs(names);
 }
 
-/**
- * Resolve --engine (and the deprecated --sample* trio, accepted and
- * mapped with a warning) into an EngineSpec. The two surfaces
- * conflict: --engine is the one source of truth when present.
- * @p legacy_used is set when the deprecated trio supplied the spec;
- * the caller emits the deprecation warning once the whole command
- * validates (rejections must stay one-line diagnostics).
- */
+/** Resolve --engine into an EngineSpec (full when absent). */
 std::optional<EngineSpec>
-parseEngine(const Args &args, bool *legacy_used = nullptr)
+parseEngine(const Args &args)
 {
-    const bool legacy = args.has("--sample") ||
-                        args.has("--sample-detail") ||
-                        args.has("--sample-warmup");
-    if (args.has("--engine")) {
-        if (legacy) {
-            std::cerr << "rcache-sim: --sample/--sample-detail/"
-                         "--sample-warmup conflict with --engine "
-                         "(fold them into --engine "
-                         "sampled:interval=N,...)\n";
-            return std::nullopt;
-        }
-        std::string err;
-        auto spec = parseEngineArg(args.get("--engine", ""), &err);
-        if (!spec) {
-            std::cerr << "rcache-sim: --engine: " << err << '\n';
-            return std::nullopt;
-        }
-        return spec;
-    }
-    if (!args.has("--sample")) {
-        if (legacy) {
-            std::cerr << "rcache-sim: --sample-detail/--sample-warmup "
-                         "need --sample N\n";
-            return std::nullopt;
-        }
+    if (!args.has("--engine"))
         return EngineSpec{};
-    }
-    const auto interval = parseU64(args, "--sample", 0);
-    if (!interval)
-        return std::nullopt;
-    if (*interval == 0) {
-        std::cerr << "rcache-sim: --sample wants a period > 0\n";
-        return std::nullopt;
-    }
-    const auto detail =
-        parseU64(args, "--sample-detail",
-                 SamplingConfig::defaultDetail(*interval));
-    const auto warmup =
-        parseU64(args, "--sample-warmup",
-                 SamplingConfig::defaultWarmup(*interval));
-    if (!detail || !warmup)
-        return std::nullopt;
-    if (const char *err = SamplingConfig::shapeError(
-            *interval, *detail, *warmup)) {
-        std::cerr << "rcache-sim: " << err << "\n";
-        return std::nullopt;
-    }
-    if (legacy_used)
-        *legacy_used = true;
-    return EngineSpec::makeSampled(*interval, *detail, *warmup);
-}
-
-/** The deferred deprecation warning for the --sample* trio. */
-void
-warnLegacySampleFlags()
-{
-    RC_LOG(warn, "--sample/--sample-detail/--sample-warmup are "
-                 "deprecated; use --engine "
-                 "sampled:interval=N[,detail=N,warmup=N]");
+    std::string err;
+    auto spec = parseEngineArg(args.get("--engine", ""), &err);
+    if (!spec)
+        std::cerr << "rcache-sim: --engine: " << err << '\n';
+    return spec;
 }
 
 std::optional<Organization>
@@ -767,7 +699,7 @@ checkAnalyticCompatible(const EngineSpec &engine,
  * historical row order), everything else fixes the base point.
  */
 std::optional<ScenarioSpec>
-scenarioFromFlags(const Args &args, bool *legacy_used)
+scenarioFromFlags(const Args &args)
 {
     ScenarioSpec spec;
     spec.name = "cli";
@@ -849,7 +781,7 @@ scenarioFromFlags(const Args &args, bool *legacy_used)
 
     const auto insts = parseInsts(args);
     auto cfg = baseConfig(args);
-    const auto engine = parseEngine(args, legacy_used);
+    const auto engine = parseEngine(args);
     if (!insts || !cfg || !engine)
         return std::nullopt;
     // --mix alone defaults the core count to the mix size, so
@@ -884,19 +816,20 @@ armCliFailpoints(const Args &args)
     return true;
 }
 
-/** Whether any sweep grid flag (the --scenario alternatives) is
- *  present. */
-bool
-hasGridFlags(const Args &args)
+/** The sweep grid flags: the alternatives to --scenario. */
+constexpr const char *gridFlags[] = {
+    "--apps",  "--orgs",  "--strategies", "--side",    "--insts",
+    "--assoc", "--cores", "--mix",        "--quantum", "--policy",
+    "--engine"};
+
+/** The first grid flag present on the command line, or nullptr. */
+const char *
+firstGridFlag(const Args &args)
 {
-    for (const char *key :
-         {"--apps", "--orgs", "--strategies", "--side", "--insts",
-          "--assoc", "--cores", "--mix", "--quantum", "--policy",
-          "--engine", "--sample", "--sample-detail",
-          "--sample-warmup"})
+    for (const char *key : gridFlags)
         if (args.has(key))
-            return true;
-    return false;
+            return key;
+    return nullptr;
 }
 
 /** sweep --claim: one cooperative worker over a manifest dir. */
@@ -918,9 +851,8 @@ cmdSweepClaim(const Args &args)
         }
     }
     std::optional<ScenarioSpec> spec;
-    bool legacy_sample = false;
     if (args.has("--scenario")) {
-        if (hasGridFlags(args)) {
+        if (firstGridFlag(args)) {
             std::cerr << "rcache-sim: grid flags conflict with "
                          "--scenario (the scenario file defines "
                          "the sweep)\n";
@@ -933,8 +865,8 @@ cmdSweepClaim(const Args &args)
             std::cerr << "rcache-sim: " << err << '\n';
             return 2;
         }
-    } else if (hasGridFlags(args)) {
-        spec = scenarioFromFlags(args, &legacy_sample);
+    } else if (firstGridFlag(args)) {
+        spec = scenarioFromFlags(args);
         if (!spec)
             return 2;
     } // else: join whatever scenario the manifest holds
@@ -952,8 +884,6 @@ cmdSweepClaim(const Args &args)
     opt.leaseTimeoutSecs = static_cast<unsigned>(*lease);
     opt.jobs = static_cast<unsigned>(*jobs);
     opt.progress = args.flags.count("--progress") != 0;
-    if (legacy_sample)
-        warnLegacySampleFlags();
     return runClaimSweep(spec, opt);
 }
 
@@ -975,21 +905,14 @@ cmdSweep(const Args &args)
 
     // ---- resolve the scenario: a file, or the grid flags
     std::optional<ScenarioSpec> spec;
-    bool legacy_sample = false;
     if (args.has("--scenario")) {
         // The scenario file owns the grid; mixing it with grid flags
         // would make two sources of truth.
-        for (const char *conflict :
-             {"--apps", "--orgs", "--strategies", "--side", "--insts",
-              "--assoc", "--cores", "--mix", "--quantum", "--policy",
-              "--engine", "--sample", "--sample-detail",
-              "--sample-warmup"}) {
-            if (args.has(conflict)) {
-                std::cerr << "rcache-sim: " << conflict
-                          << " conflicts with --scenario (the "
-                             "scenario file defines the sweep)\n";
-                return 2;
-            }
+        if (const char *conflict = firstGridFlag(args)) {
+            std::cerr << "rcache-sim: " << conflict
+                      << " conflicts with --scenario (the scenario "
+                         "file defines the sweep)\n";
+            return 2;
         }
         std::string err;
         spec = ScenarioSpec::parseFile(args.get("--scenario", ""),
@@ -999,7 +922,7 @@ cmdSweep(const Args &args)
             return 2;
         }
     } else {
-        spec = scenarioFromFlags(args, &legacy_sample);
+        spec = scenarioFromFlags(args);
         if (!spec)
             return 2;
     }
@@ -1044,8 +967,6 @@ cmdSweep(const Args &args)
         opt.shard = *shard;
     }
 
-    if (legacy_sample)
-        warnLegacySampleFlags();
     return runScenarioSweep(*spec, opt);
 }
 
@@ -1398,8 +1319,7 @@ cmdRun(const Args &args)
     const auto dl1 = parseSetup(args, "dl1");
     auto cfg = baseConfig(args);
     const auto insts = parseInsts(args);
-    bool legacy_sample = false;
-    const auto engine = parseEngine(args, &legacy_sample);
+    const auto engine = parseEngine(args);
     if (!il1 || !dl1 || !cfg || !insts || !engine)
         return 2;
     if (!applyCores(args, *cfg, mix.size()))
@@ -1420,8 +1340,6 @@ cmdRun(const Args &args)
         return 2;
     if (!checkAnalyticCompatible(*engine, *cfg, *il1, *dl1))
         return 2;
-    if (legacy_sample)
-        warnLegacySampleFlags();
 
     // ---- telemetry requests (all off unless asked for)
     const std::string timeline_path = args.get("--timeline", "");
@@ -1531,25 +1449,24 @@ cmdReplay(const Args &args)
         return 2;
     }
     const std::string path = args.get("--trace", "");
-    std::ifstream in(path);
-    if (!in) {
+    if (!std::ifstream(path)) {
         std::cerr << "rcache-sim: cannot open trace '" << path
                   << "'\n";
         return 2;
     }
-    std::vector<MicroInst> insts;
-    std::string trace_err;
-    if (!readTraceStrict(in, path, insts, &trace_err)) {
-        std::cerr << "rcache-sim: " << trace_err << '\n';
+    // Replay reads the native format whatever the file is named. The
+    // length pass checks every record up front, so a malformed line
+    // anywhere is a one-line diagnostic, not a mid-run fatal.
+    TraceSpec spec;
+    spec.path = path;
+    std::string err;
+    const auto wl = StreamingTraceWorkload::open(
+        spec, args.get("--name", "trace"), &err);
+    const std::uint64_t trace_len = wl ? wl->records(&err) : 0;
+    if (trace_len == 0) {
+        std::cerr << "rcache-sim: " << err << '\n';
         return 2;
     }
-    if (insts.empty()) {
-        std::cerr << "rcache-sim: trace '" << path
-                  << "' holds no instructions\n";
-        return 2;
-    }
-    const std::uint64_t trace_len = insts.size();
-    TraceWorkload wl(std::move(insts), args.get("--name", "trace"));
 
     const auto il1 = parseSetup(args, "il1");
     const auto dl1 = parseSetup(args, "dl1");
@@ -1568,7 +1485,7 @@ cmdReplay(const Args &args)
         return 2;
 
     System sys(*cfg);
-    writeRunReport(std::cout, sys.run(wl, *num_insts, *il1, *dl1));
+    writeRunReport(std::cout, sys.run(*wl, *num_insts, *il1, *dl1));
     return 0;
 }
 
