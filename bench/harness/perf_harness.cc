@@ -305,6 +305,70 @@ adaptiveSearch(const BenchOptions &opts)
          {"mode", "adaptive"}});
 }
 
+/**
+ * Lockstep groups' reason to exist: the static-level jobs of a
+ * fig4-shaped cell (every level of a selective-ways 8-way dcache on
+ * one profile, opts.items instructions split evenly across them),
+ * run once solo through executeRunJob and once through a one-worker
+ * SweepRunner, which runs them as one lockstep group on one stream.
+ * The headline is the grouped side; the solo wall time, the speedup
+ * and jobs_per_stream (jobs per stream generated, structural) ride in
+ * the config block. CI's perf-smoke job gates jobs_per_stream >= 4
+ * and prints the speedup without gating it.
+ */
+BenchResult
+lockstepGroup(const BenchOptions &opts)
+{
+    SystemConfig cfg = SystemConfig::base();
+    cfg.dl1.assoc = 8;
+    cfg.dl1Org = Organization::SelectiveWays;
+    const std::size_t levels = buildSchedule(cfg.dl1Org, cfg.dl1).size();
+    const std::uint64_t insts =
+        std::max<std::uint64_t>(opts.items / levels, 1);
+    std::vector<RunJob> jobs;
+    for (unsigned lvl = 0; lvl < levels; ++lvl) {
+        RunJob j;
+        j.label = "lockstep/L" + std::to_string(lvl);
+        j.profile = profileByName(benchApp);
+        j.cfg = cfg;
+        j.insts = insts;
+        j.dl1.strategy = Strategy::Static;
+        j.dl1.staticLevel = lvl;
+        jobs.push_back(j);
+    }
+
+    std::vector<RunResult> solo, grouped;
+    const double solo_s = bestWallSeconds(opts.repetitions, [&] {
+        solo.clear();
+        for (const RunJob &j : jobs)
+            solo.push_back(executeRunJob(j));
+    });
+    const SweepRunner runner(1);
+    const double grouped_s = bestWallSeconds(
+        opts.repetitions, [&] { grouped = runner.run(jobs); });
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+        if (grouped[k].cycles != solo[k].cycles ||
+            grouped[k].energy.total() != solo[k].energy.total())
+            rc_fatal("lockstep_group: " + jobs[k].label +
+                     " differs between grouped and solo runs");
+    }
+    const double speedup = grouped_s > 0 ? solo_s / grouped_s : 0;
+    const double jobs_per_stream =
+        static_cast<double>(jobs.size()) /
+        static_cast<double>(planLockstepGroups(jobs, 1).size());
+
+    return makeResult(
+        "lockstep_group", "Minst/s", opts.items, opts.repetitions,
+        grouped_s,
+        {{"app", benchApp},
+         {"jobs", std::to_string(jobs.size())},
+         {"insts_per_job", std::to_string(insts)},
+         {"solo_wall_seconds", shortestDouble(solo_s)},
+         {"speedup_vs_solo", shortestDouble(speedup)},
+         {"jobs_per_stream", shortestDouble(jobs_per_stream)},
+         {"mode", "detailed"}});
+}
+
 BenchResult
 workloadBatch(const BenchOptions &opts)
 {
@@ -444,6 +508,10 @@ perfBenches()
          "successive-halving autotune of a fig4-shaped grid over "
          "the analytic/sampled/full ladder",
          [](const BenchOptions &o) { return adaptiveSearch(o); }},
+        {"lockstep_group",
+         "one stream driving a fig4-shaped cell's static levels as a "
+         "lockstep group vs solo runs",
+         [](const BenchOptions &o) { return lockstepGroup(o); }},
         {"multicore_shared_l2",
          "2-core multi-programmed run over one shared L2",
          [](const BenchOptions &o) { return multicoreRun(o); }},

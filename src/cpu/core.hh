@@ -103,9 +103,34 @@ class Core
          ResizePolicy *il1_policy, ResizePolicy *dl1_policy);
     virtual ~Core() = default;
 
-    /** Run @p num_insts instructions of @p workload to completion. */
-    virtual CoreActivity run(Workload &workload,
-                             std::uint64_t num_insts) = 0;
+    /**
+     * Run @p num_insts instructions of @p workload to completion:
+     * begin(), the stream drained batch by batch into feed(), then
+     * finish().
+     */
+    CoreActivity run(Workload &workload, std::uint64_t num_insts);
+
+    /** @name Push-driven run
+     * A run window is begin(n), any sequence of feed() calls handing
+     * over exactly n instructions in stream order, then finish().
+     * Timing depends only on the instructions, never on how they are
+     * split across feed() calls, so one stream can drive several
+     * cores in lockstep windows (runner/sweep_runner.hh).
+     */
+    /// @{
+    /** Open a window of @p num_insts instructions at its cycle 0. */
+    void begin(std::uint64_t num_insts);
+    /**
+     * Time the next @p n instructions of the window. With a probe
+     * attached, the span is split at sampleInterval() boundaries
+     * (counted from begin()) and probe->onSample runs at each one and
+     * at the window's end; the split is timing-invisible
+     * (telemetry/probe.hh).
+     */
+    void feed(const MicroInst *insts, std::size_t n);
+    /** Close the window; every instruction must have been fed. */
+    CoreActivity finish();
+    /// @}
 
     /**
      * Restart the timing machinery at cycle 0 for a fresh measurement
@@ -122,15 +147,20 @@ class Core
     const CoreParams &params() const { return params_; }
 
     /**
-     * Attach a telemetry probe (null to detach). With a probe, run()
-     * drains the workload in sampleInterval()-sized chunks and calls
-     * probe->onSample after each; the chunking is timing-invisible
-     * (see telemetry/probe.hh). With no probe, run() keeps its single
-     * unchunked drain.
+     * Attach a telemetry probe (null to detach) before begin(); feed()
+     * samples it every sampleInterval() instructions.
      */
     void setProbe(CoreProbe *probe) { probe_ = probe; }
 
   protected:
+    /** Reset the backend's run state for a window begin() opened. */
+    virtual void beginRun() = 0;
+    /** Time @p n instructions, continuing the open window. */
+    virtual void execute(const MicroInst *insts, std::size_t n) = 0;
+    /** Cycles the window has taken so far (its final count once
+     *  every instruction is fed). */
+    virtual std::uint64_t windowCycles() const = 0;
+
     /**
      * Fetch one instruction: accesses the i-cache when crossing into a
      * new block, applies fetch bandwidth, and returns the fetch cycle.
@@ -207,6 +237,17 @@ class Core
     /** Instructions left in the current fetch group; the i-cache SRAM
      *  is read once per group, not once per block. */
     unsigned groupRemaining_ = 0;
+
+    /** Event counts of the open window (cycles set by finish()). */
+    CoreActivity activity_;
+
+  private:
+    /** Window length, instructions fed so far, and the next probe
+     *  sample point (all counted from begin()). */
+    std::uint64_t windowInsts_ = 0;
+    std::uint64_t fed_ = 0;
+    std::uint64_t nextSample_ = 0;
+    std::uint64_t sampleStride_ = 0;
 };
 
 } // namespace rcache

@@ -6,37 +6,38 @@ namespace rcache
 InOrderCore::InOrderCore(const CoreParams &params, Hierarchy &hier,
                          ResizePolicy *il1_policy,
                          ResizePolicy *dl1_policy)
-    : Core(params, hier, il1_policy, dl1_policy)
+    : Core(params, hier, il1_policy, dl1_policy),
+      run_{SlotAllocator(params.dispatchWidth)},
+      completeRing_(depRing, 0)
 {
 }
 
-CoreActivity
-InOrderCore::run(Workload &workload, std::uint64_t num_insts)
+void
+InOrderCore::beginRun()
 {
-    CoreActivity activity;
-    activity.outOfOrder = false;
+    activity_.outOfOrder = false;
+    run_ = RunState{SlotAllocator(params_.dispatchWidth)};
+    std::fill(completeRing_.begin(), completeRing_.end(), 0);
+}
 
-    SlotAllocator issue_slots(params_.dispatchWidth);
-    std::vector<std::uint64_t> complete_ring(depRing, 0);
+void
+InOrderCore::execute(const MicroInst *insts, std::size_t n)
+{
+    RunState s = run_;
+    CoreActivity activity = activity_;
+    std::uint64_t *const complete_ring = completeRing_.data();
 
-    std::uint64_t last_issue = 0;
-    // Blocking d-cache: no instruction issues before this cycle.
-    std::uint64_t stall_until = 0;
-    std::uint64_t last_complete = 0;
-
-    // Drain the workload in batches (forEachBatched): one virtual
-    // nextBatch call per workloadBatchSize instructions instead of
-    // one next() each.
-    std::uint64_t i = 0;
-    const auto body = [&](const MicroInst &inst) {
+    for (std::size_t k = 0; k < n; ++k) {
+        const MicroInst &inst = insts[k];
+        const std::uint64_t i = s.i;
         const std::uint64_t fc = fetchInst(inst);
 
         // The ring reads are safe for any dep distance (the
         // index wraps), so the unpredictable "has a producer"
         // tests can resolve as conditional moves.
         std::uint64_t ready =
-            std::max({fc + params_.frontendDepth, last_issue,
-                      stall_until});
+            std::max({fc + params_.frontendDepth, s.lastIssue,
+                      s.stallUntil});
         const bool use1 = inst.dep1 && inst.dep1 <= i;
         const std::uint64_t p1 =
             complete_ring[(i - inst.dep1) % depRing];
@@ -46,8 +47,8 @@ InOrderCore::run(Workload &workload, std::uint64_t num_insts)
             complete_ring[(i - inst.dep2) % depRing];
         ready = std::max(ready, use2 ? p2 : 0);
 
-        const std::uint64_t ic = issue_slots.alloc(ready);
-        last_issue = ic;
+        const std::uint64_t ic = s.issueSlots.alloc(ready);
+        s.lastIssue = ic;
 
         // Execute (the instruction-mix tallies ride along so the
         // op class is dispatched once, not twice).
@@ -68,11 +69,11 @@ InOrderCore::run(Workload &workload, std::uint64_t num_insts)
             if (!res.l1Hit) {
                 // Blocking: the whole pipeline waits for the
                 // fill.
-                stall_until = std::max(stall_until, complete);
+                s.stallUntil = std::max(s.stallUntil, complete);
             }
             if (res.writeback) {
                 const std::uint64_t start = wb_.insert(ic);
-                stall_until = std::max(stall_until, start);
+                s.stallUntil = std::max(s.stallUntil, start);
             }
             break;
           }
@@ -97,35 +98,17 @@ InOrderCore::run(Workload &workload, std::uint64_t num_insts)
         if (inst.op == OpClass::Branch) {
             if (resolveBranch(inst, complete)) {
                 ++activity.mispredicts;
-                stall_until = std::max(stall_until, complete);
+                s.stallUntil = std::max(s.stallUntil, complete);
             }
         }
 
         complete_ring[i % depRing] = complete;
-        last_complete = std::max(last_complete, complete);
-        ++i;
-    };
-
-    if (!probe_) {
-        forEachBatched(workload, num_insts, body);
-    } else {
-        // Probed: drain in sample-interval chunks over the same
-        // locals — stream- and timing-identical to the single drain
-        // above (telemetry/probe.hh).
-        const std::uint64_t stride =
-            std::max<std::uint64_t>(1, probe_->sampleInterval());
-        std::uint64_t done = 0;
-        while (done < num_insts) {
-            const std::uint64_t chunk =
-                std::min(num_insts - done, stride);
-            forEachBatched(workload, chunk, body);
-            done += chunk;
-            probe_->onSample(done, last_complete + 1, activity);
-        }
+        s.lastComplete = std::max(s.lastComplete, complete);
+        ++s.i;
     }
 
-    activity.cycles = last_complete + 1;
-    return activity;
+    run_ = s;
+    activity_ = activity;
 }
 
 } // namespace rcache

@@ -26,11 +26,32 @@ class InOrderCore : public Core
                 ResizePolicy *il1_policy = nullptr,
                 ResizePolicy *dl1_policy = nullptr);
 
-    CoreActivity run(Workload &workload,
-                     std::uint64_t num_insts) override;
+  protected:
+    void beginRun() override;
+    void execute(const MicroInst *insts, std::size_t n) override;
+    std::uint64_t windowCycles() const override
+    {
+        return run_.lastComplete + 1;
+    }
 
   private:
     static constexpr std::size_t depRing = 256;
+
+    /** Backend state of the open window (execute() works on a local
+     *  copy so the scalars stay in registers). */
+    struct RunState
+    {
+        SlotAllocator issueSlots;
+        /** Instructions of the window timed so far. */
+        std::uint64_t i = 0;
+        std::uint64_t lastIssue = 0;
+        /** Blocking d-cache: no instruction issues before this
+         *  cycle. */
+        std::uint64_t stallUntil = 0;
+        std::uint64_t lastComplete = 0;
+    };
+    RunState run_;
+    std::vector<std::uint64_t> completeRing_;
 };
 
 } // namespace rcache

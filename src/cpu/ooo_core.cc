@@ -5,53 +5,52 @@ namespace rcache
 
 OooCore::OooCore(const CoreParams &params, Hierarchy &hier,
                  ResizePolicy *il1_policy, ResizePolicy *dl1_policy)
-    : Core(params, hier, il1_policy, dl1_policy)
+    : Core(params, hier, il1_policy, dl1_policy),
+      run_{SlotAllocator(params.dispatchWidth),
+           SlotAllocator(params.commitWidth)},
+      completeRing_(depRing, 0),
+      commitRing_(params.robSize, 0),
+      lsqRing_(params.lsqSize, 0)
 {
 }
 
-CoreActivity
-OooCore::run(Workload &workload, std::uint64_t num_insts)
+void
+OooCore::beginRun()
 {
-    CoreActivity activity;
+    run_ = RunState{SlotAllocator(params_.dispatchWidth),
+                    SlotAllocator(params_.commitWidth)};
+    std::fill(completeRing_.begin(), completeRing_.end(), 0);
+    std::fill(commitRing_.begin(), commitRing_.end(), 0);
+    std::fill(lsqRing_.begin(), lsqRing_.end(), 0);
+}
 
-    SlotAllocator dispatch_slots(params_.dispatchWidth);
-    SlotAllocator commit_slots(params_.commitWidth);
-
-    std::vector<std::uint64_t> complete_ring(depRing, 0);
-    std::vector<std::uint64_t> commit_ring(params_.robSize, 0);
-    std::vector<std::uint64_t> lsq_ring(params_.lsqSize, 0);
-
+void
+OooCore::execute(const MicroInst *insts, std::size_t n)
+{
+    RunState s = run_;
+    CoreActivity activity = activity_;
+    std::uint64_t *const complete_ring = completeRing_.data();
+    std::uint64_t *const commit_ring = commitRing_.data();
+    std::uint64_t *const lsq_ring = lsqRing_.data();
     const unsigned dblock_bits = hier_.dl1().geometry().blockBits();
-    std::uint64_t mem_count = 0;
-    std::uint64_t last_commit = 0;
-    // Earliest cycle the next commit may happen (writeback stalls).
-    std::uint64_t commit_floor = 0;
 
-    // Rolling ring cursors: robSize/lsqSize are runtime values, so
-    // `i % size` is a hardware divide on the per-instruction path;
-    // increment-and-wrap tracks the same index for one compare.
-    std::size_t rob_idx = 0;
-    std::size_t lsq_idx = 0;
-
-    // Drain the workload in batches (forEachBatched): one virtual
-    // nextBatch call per workloadBatchSize instructions instead of
-    // one next() each.
-    std::uint64_t i = 0;
-    const auto body = [&](const MicroInst &inst) {
+    for (std::size_t k = 0; k < n; ++k) {
+        const MicroInst &inst = insts[k];
+        const std::uint64_t i = s.i;
         const std::uint64_t fc = fetchInst(inst);
 
         // Dispatch: frontend depth, bandwidth, ROB and LSQ
         // occupancy.
         std::uint64_t dmin = fc + params_.frontendDepth;
         if (i >= params_.robSize) {
-            dmin = std::max(dmin, commit_ring[rob_idx] + 1);
+            dmin = std::max(dmin, commit_ring[s.robIdx] + 1);
         }
         const bool is_mem =
             inst.op == OpClass::Load || inst.op == OpClass::Store;
-        if (is_mem && mem_count >= params_.lsqSize) {
-            dmin = std::max(dmin, lsq_ring[lsq_idx] + 1);
+        if (is_mem && s.memCount >= params_.lsqSize) {
+            dmin = std::max(dmin, lsq_ring[s.lsqIdx] + 1);
         }
-        const std::uint64_t dc = dispatch_slots.alloc(dmin);
+        const std::uint64_t dc = s.dispatchSlots.alloc(dmin);
 
         // Ready when producers complete. The ring reads are safe
         // for any dep distance (the index wraps), so the
@@ -116,9 +115,9 @@ OooCore::run(Workload &workload, std::uint64_t num_insts)
         }
 
         // Commit in order.
-        const std::uint64_t cc = commit_slots.alloc(
-            std::max({complete + 1, last_commit, commit_floor}));
-        last_commit = cc;
+        const std::uint64_t cc = s.commitSlots.alloc(
+            std::max({complete + 1, s.lastCommit, s.commitFloor}));
+        s.lastCommit = cc;
 
         if (inst.op == OpClass::Store) {
             MemAccessResult res =
@@ -132,7 +131,7 @@ OooCore::run(Workload &workload, std::uint64_t num_insts)
             }
             if (res.writeback) {
                 const std::uint64_t start = wb_.insert(cc);
-                commit_floor = std::max(commit_floor, start);
+                s.commitFloor = std::max(s.commitFloor, start);
             }
         }
 
@@ -142,38 +141,20 @@ OooCore::run(Workload &workload, std::uint64_t num_insts)
         }
 
         complete_ring[i % depRing] = complete;
-        commit_ring[rob_idx] = cc;
-        if (++rob_idx == params_.robSize)
-            rob_idx = 0;
+        commit_ring[s.robIdx] = cc;
+        if (++s.robIdx == params_.robSize)
+            s.robIdx = 0;
         if (is_mem) {
-            lsq_ring[lsq_idx] = cc;
-            if (++lsq_idx == params_.lsqSize)
-                lsq_idx = 0;
-            ++mem_count;
+            lsq_ring[s.lsqIdx] = cc;
+            if (++s.lsqIdx == params_.lsqSize)
+                s.lsqIdx = 0;
+            ++s.memCount;
         }
-        ++i;
-    };
-
-    if (!probe_) {
-        forEachBatched(workload, num_insts, body);
-    } else {
-        // Probed: drain in sample-interval chunks over the same
-        // locals — stream- and timing-identical to the single drain
-        // above (telemetry/probe.hh).
-        const std::uint64_t stride =
-            std::max<std::uint64_t>(1, probe_->sampleInterval());
-        std::uint64_t done = 0;
-        while (done < num_insts) {
-            const std::uint64_t chunk =
-                std::min(num_insts - done, stride);
-            forEachBatched(workload, chunk, body);
-            done += chunk;
-            probe_->onSample(done, last_commit + 1, activity);
-        }
+        ++s.i;
     }
 
-    activity.cycles = last_commit + 1;
-    return activity;
+    run_ = s;
+    activity_ = activity;
 }
 
 } // namespace rcache

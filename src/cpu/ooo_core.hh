@@ -28,12 +28,41 @@ class OooCore : public Core
             ResizePolicy *il1_policy = nullptr,
             ResizePolicy *dl1_policy = nullptr);
 
-    CoreActivity run(Workload &workload,
-                     std::uint64_t num_insts) override;
+  protected:
+    void beginRun() override;
+    void execute(const MicroInst *insts, std::size_t n) override;
+    std::uint64_t windowCycles() const override
+    {
+        return run_.lastCommit + 1;
+    }
 
   private:
     /** Completion-time history ring for dependence resolution. */
     static constexpr std::size_t depRing = 256;
+
+    /** Backend state of the open window (execute() works on a local
+     *  copy so the scalars stay in registers). */
+    struct RunState
+    {
+        SlotAllocator dispatchSlots;
+        SlotAllocator commitSlots;
+        /** Instructions of the window timed so far. */
+        std::uint64_t i = 0;
+        std::uint64_t memCount = 0;
+        std::uint64_t lastCommit = 0;
+        /** Earliest cycle the next commit may happen (writeback
+         *  stalls). */
+        std::uint64_t commitFloor = 0;
+        /** Rolling ring cursors: robSize/lsqSize are runtime values,
+         *  so `i % size` would be a hardware divide per instruction;
+         *  increment-and-wrap tracks the same index for one compare. */
+        std::size_t robIdx = 0;
+        std::size_t lsqIdx = 0;
+    };
+    RunState run_;
+    std::vector<std::uint64_t> completeRing_;
+    std::vector<std::uint64_t> commitRing_;
+    std::vector<std::uint64_t> lsqRing_;
 };
 
 } // namespace rcache

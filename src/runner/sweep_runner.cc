@@ -1,6 +1,8 @@
 #include "runner/sweep_runner.hh"
 
 #include <algorithm>
+#include <chrono>
+#include <numeric>
 
 #include "analytic/analytic_engine.hh"
 #include "sim/multi_core_system.hh"
@@ -9,6 +11,15 @@
 
 namespace rcache
 {
+
+namespace
+{
+
+/** Most jobs one lockstep group runs: bounds a worker's memory at
+ *  this many Systems while amortizing the stream across them. */
+constexpr std::size_t maxGroupJobs = 8;
+
+} // namespace
 
 RunResult
 executeRunJob(const RunJob &job)
@@ -34,6 +45,111 @@ executeRunJob(const RunJob &job)
     System sys(job.cfg);
     return sys.run(*wl, job.insts, job.il1, job.dl1, job.engine,
                    job.telemetry);
+}
+
+bool
+lockstepEligible(const RunJob &job)
+{
+    return job.engine.mode == EngineMode::Full && job.cfg.cores == 1;
+}
+
+std::vector<std::vector<std::size_t>>
+planLockstepGroups(const std::vector<RunJob> &jobs,
+                   unsigned parallelism)
+{
+    std::vector<std::vector<std::size_t>> groups;
+    // Eligible jobs by stream, streams in order of first appearance.
+    std::vector<std::vector<std::size_t>> streams;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (!lockstepEligible(jobs[i])) {
+            groups.push_back({i});
+            continue;
+        }
+        const auto same = std::find_if(
+            streams.begin(), streams.end(), [&](const auto &stream) {
+                const RunJob &first = jobs[stream.front()];
+                return first.insts == jobs[i].insts &&
+                       first.profile == jobs[i].profile;
+            });
+        if (same != streams.end())
+            same->push_back(i);
+        else
+            streams.push_back({i});
+    }
+
+    const std::size_t workers = std::max(1u, parallelism);
+    for (const std::vector<std::size_t> &stream : streams) {
+        const std::size_t k = std::min(
+            maxGroupJobs, (stream.size() + workers - 1) / workers);
+        for (std::size_t at = 0; at < stream.size(); at += k)
+            groups.emplace_back(
+                stream.begin() + at,
+                stream.begin() + std::min(stream.size(), at + k));
+    }
+    std::sort(groups.begin(), groups.end(),
+              [](const auto &a, const auto &b) {
+                  return a.front() < b.front();
+              });
+    return groups;
+}
+
+std::vector<RunResult>
+executeLockstep(const std::vector<RunJob> &jobs,
+                const std::vector<std::size_t> &group,
+                std::vector<double> *busy_seconds)
+{
+    using Clock = std::chrono::steady_clock;
+    rc_assert(!group.empty());
+    const RunJob &lead = jobs[group.front()];
+    const std::size_t n = group.size();
+
+    std::vector<Clock::duration> busy(n, Clock::duration::zero());
+    const auto timed = [&](std::size_t k, const auto &fn) {
+        if (!busy_seconds)
+            return fn();
+        const auto t0 = Clock::now();
+        fn();
+        busy[k] += Clock::now() - t0;
+    };
+
+    const std::unique_ptr<Workload> wl = makeWorkload(lead.profile);
+    std::vector<std::unique_ptr<System>> systems(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        const RunJob &job = jobs[group[k]];
+        rc_assert(lockstepEligible(job) && job.insts == lead.insts &&
+                  job.profile == lead.profile);
+        job.engine.validate();
+        timed(k, [&] {
+            systems[k] = std::make_unique<System>(job.cfg);
+            systems[k]->start(job.insts, job.il1, job.dl1,
+                              job.telemetry);
+        });
+    }
+
+    // The window is one workloadBatchSize batch: small enough to stay
+    // in the L1 data cache while every System reads it (measured
+    // faster than 512- and 4096-instruction windows).
+    forEachBatch(*wl, lead.insts,
+                 [&](const MicroInst *insts, std::size_t fill) {
+                     for (std::size_t k = 0; k < n; ++k)
+                         timed(k, [&] { systems[k]->feed(insts, fill); });
+                 });
+
+    std::vector<RunResult> results(n);
+    const std::string name = wl->name();
+    for (std::size_t k = 0; k < n; ++k) {
+        timed(k, [&] {
+            results[k] = systems[k]->finish(name);
+            systems[k].reset();
+        });
+    }
+    if (busy_seconds) {
+        busy_seconds->clear();
+        for (const Clock::duration d : busy)
+            busy_seconds->push_back(
+                std::chrono::duration<double>(d).count());
+    }
+    return results;
 }
 
 SweepRunner::SweepRunner(unsigned num_jobs)
@@ -69,49 +185,82 @@ SweepRunner::runSerial(const std::vector<RunJob> &jobs)
     return results;
 }
 
-RunResult
-SweepRunner::tracedExecute(const RunJob &job) const
+void
+SweepRunner::executeGroup(const std::vector<RunJob> &jobs,
+                          const std::vector<std::size_t> &group,
+                          std::uint64_t group_id,
+                          std::vector<RunResult> &results) const
 {
+    using Clock = TraceEventRecorder::Clock;
+    const Clock::time_point begin =
+        trace_ ? trace_->now() : Clock::time_point{};
+    std::vector<double> busy;
+    if (group.size() == 1) {
+        results[group.front()] = executeRunJob(jobs[group.front()]);
+    } else {
+        std::vector<RunResult> rs =
+            executeLockstep(jobs, group, trace_ ? &busy : nullptr);
+        for (std::size_t k = 0; k < group.size(); ++k)
+            results[group[k]] = std::move(rs[k]);
+    }
     if (!trace_)
-        return executeRunJob(job);
-    const auto begin = trace_->now();
-    RunResult res = executeRunJob(job);
-    TraceEventRecorder::Args args{{"label", job.label}};
-    if (!job.tracePoint.empty())
-        args.emplace_back("point", job.tracePoint);
-    trace_->completeSpan(job.label, begin, trace_->now(),
-                         std::move(args));
-    return res;
+        return;
+
+    // One span per job, back to back over the group's window, each
+    // sized by its System's share of the measured work (equal shares
+    // when nothing was measured).
+    const Clock::time_point end = trace_->now();
+    double total = std::accumulate(busy.begin(), busy.end(), 0.0);
+    if (total <= 0) {
+        busy.assign(group.size(), 1.0);
+        total = static_cast<double>(group.size());
+    }
+    double upto = 0;
+    Clock::time_point at = begin;
+    for (std::size_t k = 0; k < group.size(); ++k) {
+        upto += busy[k];
+        const Clock::time_point to =
+            k + 1 == group.size()
+                ? end
+                : begin + std::chrono::duration_cast<Clock::duration>(
+                              (end - begin) * (upto / total));
+        const RunJob &job = jobs[group[k]];
+        TraceEventRecorder::Args args{{"label", job.label}};
+        if (!job.tracePoint.empty())
+            args.emplace_back("point", job.tracePoint);
+        args.emplace_back("group", std::to_string(group_id));
+        args.emplace_back("group_size", std::to_string(group.size()));
+        trace_->completeSpan(job.label, at, to, std::move(args));
+        at = to;
+    }
 }
 
 std::vector<RunResult>
 SweepRunner::run(const std::vector<RunJob> &jobs) const
 {
     std::vector<RunResult> results(jobs.size());
+    const std::vector<std::vector<std::size_t>> groups =
+        planLockstepGroups(jobs, parallelism_);
+    const std::uint64_t first_id = nextGroupId_.fetch_add(groups.size());
 
-    if (parallelism_ <= 1 || jobs.size() <= 1) {
-        std::size_t done = 0;
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            if (cancelRequested())
-                break;
-            results[i] = tracedExecute(jobs[i]);
-            reportProgress(++done, jobs.size(), jobs[i]);
-        }
+    // done is shared across group tasks only for progress display;
+    // results[i] is written exclusively by the task of job i's group.
+    std::atomic<std::size_t> done{0};
+    const auto run_group = [&](std::size_t g) {
+        if (cancelRequested())
+            return;
+        executeGroup(jobs, groups[g], first_id + g, results);
+        for (const std::size_t i : groups[g])
+            reportProgress(done.fetch_add(1) + 1, jobs.size(), jobs[i]);
+    };
+
+    if (parallelism_ <= 1 || groups.size() <= 1) {
+        for (std::size_t g = 0; g < groups.size(); ++g)
+            run_group(g);
         return results;
     }
-
-    // done_ is shared across job tasks only for progress display;
-    // results_[i] is written exclusively by job i's task.
-    auto done = std::make_shared<std::atomic<std::size_t>>(0);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        pool_->submit([this, &jobs, &results, done, i] {
-            if (cancelRequested())
-                return;
-            results[i] = tracedExecute(jobs[i]);
-            reportProgress(done->fetch_add(1) + 1, jobs.size(),
-                           jobs[i]);
-        });
-    }
+    for (std::size_t g = 0; g < groups.size(); ++g)
+        pool_->submit([&run_group, g] { run_group(g); });
     pool_->waitIdle();
     return results;
 }

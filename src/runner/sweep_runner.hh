@@ -6,12 +6,20 @@
  * organization, strategy, level/param) design point is one complete,
  * self-contained simulated run. A RunJob captures one such point as
  * pure data; executeRunJob() constructs a private workload and System
- * for it, so jobs share no mutable state and the result of a job
- * depends only on the job spec. SweepRunner fans a batch across a
- * work-stealing thread pool and writes each result into the slot of
- * the job that produced it, so the returned vector is in submission
- * order and bit-identical to a serial execution regardless of thread
- * count or completion order.
+ * for it, so the result of a job depends only on the job spec.
+ *
+ * Many jobs of a sweep simulate the same instruction stream on
+ * different machines. SweepRunner therefore runs full-detail,
+ * single-core jobs that share a stream (equal profile and insts) as
+ * lockstep groups: one workload, one private System per job, the
+ * stream read once in fixed windows and each window fed to every
+ * System. The Systems share nothing but the read-only window, so each
+ * result is exactly its solo run's. Every other job is a group of
+ * one. SweepRunner fans the groups across a work-stealing thread pool
+ * and writes each result into the slot of the job that produced it,
+ * so the returned vector is in submission order and bit-identical to
+ * a serial execution regardless of thread count, grouping or
+ * completion order.
  */
 
 #ifndef RCACHE_RUNNER_SWEEP_RUNNER_HH
@@ -73,6 +81,36 @@ struct RunJob
  */
 RunResult executeRunJob(const RunJob &job);
 
+/** Can @p job run in a lockstep group (full detail, one core)? */
+bool lockstepEligible(const RunJob &job);
+
+/**
+ * The groups SweepRunner::run executes @p jobs in at @p parallelism
+ * workers: lockstep-eligible jobs with an equal stream (profile and
+ * insts) are split, in job order, into groups of
+ * K = min(8, ceil(stream jobs / parallelism)); every other job is a
+ * group of one. Each group lists job indices in ascending order, and
+ * groups are ordered by their first job.
+ */
+std::vector<std::vector<std::size_t>>
+planLockstepGroups(const std::vector<RunJob> &jobs,
+                   unsigned parallelism);
+
+/**
+ * Run the jobs of @p jobs named by @p group — lockstep-eligible, all
+ * on one stream — from one workload, each on its own System, and
+ * return their results in group order (each equal to
+ * executeRunJob's). Memory is one System per job plus one stream
+ * window, whatever the run length.
+ *
+ * @param busy_seconds if non-null, receives each System's host
+ *        seconds (setup, feeding and finishing), in group order
+ */
+std::vector<RunResult>
+executeLockstep(const std::vector<RunJob> &jobs,
+                const std::vector<std::size_t> &group,
+                std::vector<double> *busy_seconds = nullptr);
+
 /** See file comment. */
 class SweepRunner
 {
@@ -100,10 +138,14 @@ class SweepRunner
     void setProgress(ProgressFn fn) { progress_ = std::move(fn); }
 
     /**
-     * Attach a Chrome trace-event recorder: every executed job gets a
-     * complete span named by its label, tagged with its tracePoint
-     * and recorded on the worker thread that ran it. Null detaches.
-     * The recorder must outlive every run() call that sees it.
+     * Attach a Chrome trace-event recorder: every executed job gets
+     * one complete span named by its label, tagged with its
+     * tracePoint, its group's id and size ("group", "group_size"),
+     * and recorded on the worker thread that ran it. A group's spans
+     * tile the group's wall window back to back, each sized by its
+     * System's share of the measured work, so spans on one worker
+     * never overlap and sum to its busy time. Null detaches. The
+     * recorder must outlive every run() call that sees it.
      */
     void setTrace(TraceEventRecorder *trace) { trace_ = trace; }
 
@@ -133,10 +175,17 @@ class SweepRunner
   private:
     void reportProgress(std::size_t done, std::size_t total,
                         const RunJob &job) const;
-    RunResult tracedExecute(const RunJob &job) const;
+    /** Run one planned group into its jobs' result slots, recording
+     *  its spans when tracing. */
+    void executeGroup(const std::vector<RunJob> &jobs,
+                      const std::vector<std::size_t> &group,
+                      std::uint64_t group_id,
+                      std::vector<RunResult> &results) const;
 
     unsigned parallelism_;
     TraceEventRecorder *trace_ = nullptr;
+    /** Next trace group id (unique across run() calls). */
+    mutable std::atomic<std::uint64_t> nextGroupId_{0};
     /** Built in the constructor when parallelism_ > 1. */
     std::unique_ptr<ThreadPool> pool_;
     mutable std::mutex progressMtx_;

@@ -16,6 +16,7 @@
 #include "search/sweep_merge.hh"
 #include "sim/experiment.hh"
 #include "util/checked_io.hh"
+#include "util/heap.hh"
 #include "util/interrupt.hh"
 #include "util/logging.hh"
 #include "util/numformat.hh"
@@ -55,18 +56,33 @@ evaluateRound(const TuneContext &ctx,
               const EngineSpec &engine)
 {
     const CellScope scope{*ctx.space, *ctx.apps, &engine};
-    AnalyticBatch analytic;
-    std::optional<SweepRunner> runner;
-    if (engine.analytic())
-        registerAnalytic(analytic, scope, cells);
-    else
-        runner.emplace(ctx.jobs);
     BaselineMemo memo;
-    return evaluateCells(
-        scope, cells, memo,
-        [&](std::vector<RunJob> &jobs, const std::vector<std::size_t> &) {
-            return runner ? runner->run(jobs) : analytic.price(jobs);
-        });
+    if (!engine.analytic()) {
+        const SweepRunner runner(ctx.jobs);
+        return evaluateCells(
+            scope, cells, memo,
+            [&](std::vector<RunJob> &jobs,
+                const std::vector<std::size_t> &) {
+                return runner.run(jobs);
+            });
+    }
+    std::vector<SweepRecord> records;
+    {
+        AnalyticBatch analytic;
+        registerAnalytic(analytic, scope, cells);
+        records = evaluateCells(
+            scope, cells, memo,
+            [&](std::vector<RunJob> &jobs,
+                const std::vector<std::size_t> &) {
+                return analytic.price(jobs);
+            });
+    }
+    // The passes' stack-distance state (about 17 MB on the Figure 4
+    // grid) was freed on this thread; the pool workers of the later
+    // rounds allocate their Systems from arenas of their own, so
+    // return it rather than keep it resident beside them.
+    releaseFreedHeap();
+    return records;
 }
 
 /**

@@ -1,7 +1,6 @@
 #include "sim/system.hh"
 
 #include <cmath>
-#include <optional>
 
 #include "cpu/inorder_core.hh"
 #include "cpu/ooo_core.hh"
@@ -34,6 +33,8 @@ System::System(const SystemConfig &cfg)
     rc_assert(cfg.cores == 1);
 }
 
+System::~System() = default;
+
 void
 System::dumpStats(std::ostream &os) const
 {
@@ -61,44 +62,37 @@ System::makePolicy(ResizableCache &cache, const ResizeSetup &setup)
     rc_panic("bad strategy");
 }
 
-RunResult
-System::run(Workload &workload, std::uint64_t num_insts,
-            const ResizeSetup &il1_setup, const ResizeSetup &dl1_setup,
-            const EngineSpec &engine, RunTelemetry *telemetry)
+void
+System::wire(const ResizeSetup &il1_setup, const ResizeSetup &dl1_setup,
+             RunTelemetry *telemetry)
 {
     rc_assert(!ran_);
     ran_ = true;
-    engine.validate();
-    if (engine.analytic())
-        rc_fatal("the analytic engine does not run Systems; dispatch "
-                 "through executeRunJob");
-
-    auto il1_policy = makePolicy(il1_, il1_setup);
-    auto dl1_policy = makePolicy(dl1_, dl1_setup);
+    telemetry_ = telemetry;
+    il1Policy_ = makePolicy(il1_, il1_setup);
+    dl1Policy_ = makePolicy(dl1_, dl1_setup);
 
     if (telemetry && telemetry->resizeEvents) {
         const ResizeTelemetry sink{&telemetry->events, 0,
                                    cfg_.core.wbDrainLatency};
         if (auto *dyn = dynamic_cast<DynamicMissRatioController *>(
-                il1_policy.get()))
+                il1Policy_.get()))
             dyn->setTelemetry(sink);
         if (auto *dyn = dynamic_cast<DynamicMissRatioController *>(
-                dl1_policy.get()))
+                dl1Policy_.get()))
             dyn->setTelemetry(sink);
     }
 
-    std::unique_ptr<Core> core;
     if (cfg_.coreModel == CoreModel::OutOfOrder) {
-        core = std::make_unique<OooCore>(cfg_.core, hier_,
-                                         il1_policy.get(),
-                                         dl1_policy.get());
+        core_ = std::make_unique<OooCore>(cfg_.core, hier_,
+                                          il1Policy_.get(),
+                                          dl1Policy_.get());
     } else {
-        core = std::make_unique<InOrderCore>(cfg_.core, hier_,
-                                             il1_policy.get(),
-                                             dl1_policy.get());
+        core_ = std::make_unique<InOrderCore>(cfg_.core, hier_,
+                                              il1Policy_.get(),
+                                              dl1Policy_.get());
     }
 
-    std::optional<TimelineRecorder> recorder;
     if (telemetry && telemetry->wantsTimeline()) {
         TimelineSources src;
         src.core = 0;
@@ -112,90 +106,129 @@ System::run(Workload &workload, std::uint64_t num_insts,
             return hier_.memReads() + hier_.memWrites();
         };
         src.l2SizeBytes = hier_.l2().geometry().size;
-        src.timingCore = core.get();
+        src.timingCore = core_.get();
         src.energy = &cfg_.energy;
-        recorder.emplace(src, telemetry->timelineInterval);
-        core->setProbe(&*recorder);
+        recorder_ = std::make_unique<TimelineRecorder>(
+            src, telemetry->timelineInterval);
+        core_->setProbe(recorder_.get());
     }
+}
+
+RunResult
+System::run(Workload &workload, std::uint64_t num_insts,
+            const ResizeSetup &il1_setup, const ResizeSetup &dl1_setup,
+            const EngineSpec &engine, RunTelemetry *telemetry)
+{
+    engine.validate();
+    if (engine.analytic())
+        rc_fatal("the analytic engine does not run Systems; dispatch "
+                 "through executeRunJob");
+
+    if (!engine.sampled()) {
+        start(num_insts, il1_setup, dl1_setup, telemetry);
+        forEachBatch(workload, num_insts,
+                     [this](const MicroInst *insts, std::size_t n) {
+                         feed(insts, n);
+                     });
+        return finish(workload.name());
+    }
+
+    wire(il1_setup, dl1_setup, telemetry);
+    SamplingController sampler(engine.sampling, hier_, il1_, dl1_,
+                               il1Policy_.get(), dl1Policy_.get());
+    if (recorder_)
+        sampler.setProbe(recorder_.get());
+    const SampledStats s = sampler.run(*core_, workload, num_insts);
 
     RunResult res;
     res.workload = workload.name();
-    ProcessorEnergyModel energy(cfg_.energy);
+    res.engine = EngineMode::Sampled;
+    res.measuredInsts = s.measuredInsts;
+    res.warmupInsts = s.warmupInsts;
+    res.activity = s.activity;
+    res.insts = s.activity.insts;
+    res.cycles = s.activity.cycles;
+    res.energy = ProcessorEnergyModel(cfg_.energy)
+                     .compute(s.activity, s.il1, il1_.extraTagBits(),
+                              s.dl1, dl1_.extraTagBits(),
+                              s.l2Accesses,
+                              hier_.l2().geometry().size,
+                              s.memAccesses);
+    res.avgIl1Bytes = s.avgIl1Bytes;
+    res.avgDl1Bytes = s.avgDl1Bytes;
+    res.il1MissRatio = s.il1MissRatio;
+    res.dl1MissRatio = s.dl1MissRatio;
+    res.l2MissRatio = s.l2MissRatio;
+    res.il1Accesses =
+        static_cast<std::uint64_t>(std::llround(s.il1.accesses));
+    res.il1Misses =
+        static_cast<std::uint64_t>(std::llround(s.il1.misses));
+    res.dl1Accesses =
+        static_cast<std::uint64_t>(std::llround(s.dl1.accesses));
+    res.dl1Misses =
+        static_cast<std::uint64_t>(std::llround(s.dl1.misses));
+    return collect(std::move(res));
+}
 
-    if (engine.sampled()) {
-        SamplingController sampler(engine.sampling, hier_, il1_,
-                                   dl1_, il1_policy.get(),
-                                   dl1_policy.get());
-        if (recorder)
-            sampler.setProbe(&*recorder);
-        const SampledStats s =
-            sampler.run(*core, workload, num_insts);
+void
+System::start(std::uint64_t num_insts, const ResizeSetup &il1_setup,
+              const ResizeSetup &dl1_setup, RunTelemetry *telemetry)
+{
+    wire(il1_setup, dl1_setup, telemetry);
+    core_->begin(num_insts);
+}
 
-        res.engine = EngineMode::Sampled;
-        res.measuredInsts = s.measuredInsts;
-        res.warmupInsts = s.warmupInsts;
-        res.activity = s.activity;
-        res.insts = s.activity.insts;
-        res.cycles = s.activity.cycles;
-        res.energy = energy.compute(
-            s.activity, s.il1, il1_.extraTagBits(), s.dl1,
-            dl1_.extraTagBits(), s.l2Accesses,
-            hier_.l2().geometry().size, s.memAccesses);
-        res.avgIl1Bytes = s.avgIl1Bytes;
-        res.avgDl1Bytes = s.avgDl1Bytes;
-        res.il1MissRatio = s.il1MissRatio;
-        res.dl1MissRatio = s.dl1MissRatio;
-        res.l2MissRatio = s.l2MissRatio;
-        res.il1Accesses = static_cast<std::uint64_t>(
-            std::llround(s.il1.accesses));
-        res.il1Misses = static_cast<std::uint64_t>(
-            std::llround(s.il1.misses));
-        res.dl1Accesses = static_cast<std::uint64_t>(
-            std::llround(s.dl1.accesses));
-        res.dl1Misses = static_cast<std::uint64_t>(
-            std::llround(s.dl1.misses));
-    } else {
-        res.activity = core->run(workload, num_insts);
-        res.insts = res.activity.insts;
-        res.cycles = res.activity.cycles;
-        res.measuredInsts = res.insts;
+RunResult
+System::finish(const std::string &workload)
+{
+    RunResult res;
+    res.workload = workload;
+    res.activity = core_->finish();
+    res.insts = res.activity.insts;
+    res.cycles = res.activity.cycles;
+    res.measuredInsts = res.insts;
 
-        // Close the enabled-size integrals over the whole run.
-        il1_.cache().accumulateEnabledTime(res.cycles);
-        dl1_.cache().accumulateEnabledTime(res.cycles);
+    // Close the enabled-size integrals over the whole run.
+    il1_.cache().accumulateEnabledTime(res.cycles);
+    dl1_.cache().accumulateEnabledTime(res.cycles);
 
-        res.energy = energy.compute(
-            res.activity, il1_.cache(), il1_.extraTagBits(),
-            dl1_.cache(), dl1_.extraTagBits(), hier_.l2(),
-            hier_.memReads() + hier_.memWrites());
+    res.energy = ProcessorEnergyModel(cfg_.energy)
+                     .compute(res.activity, il1_.cache(),
+                              il1_.extraTagBits(), dl1_.cache(),
+                              dl1_.extraTagBits(), hier_.l2(),
+                              hier_.memReads() + hier_.memWrites());
 
-        res.avgIl1Bytes = il1_.cache().byteCycles() / res.cycles;
-        res.avgDl1Bytes = dl1_.cache().byteCycles() / res.cycles;
-        res.il1MissRatio = il1_.cache().missRatio();
-        res.dl1MissRatio = dl1_.cache().missRatio();
-        res.l2MissRatio = hier_.l2().missRatio();
-        res.il1Accesses = il1_.cache().accesses();
-        res.il1Misses = il1_.cache().misses();
-        res.dl1Accesses = dl1_.cache().accesses();
-        res.dl1Misses = dl1_.cache().misses();
-    }
+    res.avgIl1Bytes = il1_.cache().byteCycles() / res.cycles;
+    res.avgDl1Bytes = dl1_.cache().byteCycles() / res.cycles;
+    res.il1MissRatio = il1_.cache().missRatio();
+    res.dl1MissRatio = dl1_.cache().missRatio();
+    res.l2MissRatio = hier_.l2().missRatio();
+    res.il1Accesses = il1_.cache().accesses();
+    res.il1Misses = il1_.cache().misses();
+    res.dl1Accesses = dl1_.cache().accesses();
+    res.dl1Misses = dl1_.cache().misses();
+    return collect(std::move(res));
+}
 
+RunResult
+System::collect(RunResult res)
+{
     res.il1Resizes = il1_.cache().resizes();
     res.dl1Resizes = dl1_.cache().resizes();
 
     if (auto *dyn = dynamic_cast<DynamicMissRatioController *>(
-            il1_policy.get())) {
+            il1Policy_.get())) {
         res.il1LevelTrace = dyn->levelTrace();
     }
     if (auto *dyn = dynamic_cast<DynamicMissRatioController *>(
-            dl1_policy.get())) {
+            dl1Policy_.get())) {
         res.dl1LevelTrace = dyn->levelTrace();
     }
 
-    if (recorder) {
-        auto rows = recorder->takeRows();
-        telemetry->timeline.insert(telemetry->timeline.end(),
-                                   rows.begin(), rows.end());
+    if (recorder_) {
+        auto rows = recorder_->takeRows();
+        telemetry_->timeline.insert(telemetry_->timeline.end(),
+                                    rows.begin(), rows.end());
     }
     return res;
 }

@@ -4,9 +4,14 @@
  *
  * A System wires a core model, the two (possibly resizable) L1s, the
  * L2, the resizing policies, and the energy model. It is single-use:
- * construct, call run() once, read the result. The experiment driver
+ * construct, run once, read the result. The experiment driver
  * (sim/experiment.hh) constructs one System per design point, which is
  * how the paper's profiling methodology works anyway.
+ *
+ * A full-detail run is either pulled from a Workload (run()) or pushed
+ * instruction windows by the caller (start() / feed() / finish()), the
+ * form that lets one stream drive several Systems in lockstep
+ * (runner/sweep_runner.hh). Both give the identical result.
  */
 
 #ifndef RCACHE_SIM_SYSTEM_HH
@@ -29,6 +34,7 @@ namespace rcache
 {
 
 struct RunTelemetry;
+class TimelineRecorder;
 
 /** Which CPU timing model to use. */
 enum class CoreModel
@@ -166,6 +172,7 @@ class System
 {
   public:
     explicit System(const SystemConfig &cfg);
+    ~System();
 
     /**
      * Run @p num_insts instructions of @p workload with the given
@@ -185,6 +192,25 @@ class System
                   const EngineSpec &engine = {},
                   RunTelemetry *telemetry = nullptr);
 
+    /** @name Push-driven full-detail run
+     * start(n, ...) opens the run with run()'s setups and telemetry;
+     * feed() hands over the stream's next instructions in order,
+     * exactly @p num_insts of them in total, split any way; finish()
+     * returns what run() would have returned for a workload named
+     * @p workload. Single use, like run().
+     */
+    /// @{
+    void start(std::uint64_t num_insts,
+               const ResizeSetup &il1_setup = {},
+               const ResizeSetup &dl1_setup = {},
+               RunTelemetry *telemetry = nullptr);
+    void feed(const MicroInst *insts, std::size_t n)
+    {
+        core_->feed(insts, n);
+    }
+    RunResult finish(const std::string &workload);
+    /// @}
+
     ResizableCache &il1() { return il1_; }
     ResizableCache &dl1() { return dl1_; }
     Hierarchy &hierarchy() { return hier_; }
@@ -196,12 +222,25 @@ class System
   private:
     std::unique_ptr<ResizePolicy> makePolicy(ResizableCache &cache,
                                              const ResizeSetup &setup);
+    /** Build the run's policies, core and timeline recorder. */
+    void wire(const ResizeSetup &il1_setup,
+              const ResizeSetup &dl1_setup, RunTelemetry *telemetry);
+    /** Fill in what every engine reports the same way (resize counts,
+     *  level traces, timeline rows). */
+    RunResult collect(RunResult res);
 
     SystemConfig cfg_;
     ResizableCache il1_;
     ResizableCache dl1_;
     Hierarchy hier_;
     bool ran_ = false;
+
+    /** Per-run wiring, built by wire(). */
+    std::unique_ptr<ResizePolicy> il1Policy_;
+    std::unique_ptr<ResizePolicy> dl1Policy_;
+    std::unique_ptr<Core> core_;
+    std::unique_ptr<TimelineRecorder> recorder_;
+    RunTelemetry *telemetry_ = nullptr;
 };
 
 } // namespace rcache

@@ -3,16 +3,17 @@
  * CoreProbe: the hook the timing/functional cores sample telemetry
  * through.
  *
- * A probe is attached to a core with setProbe(); the core then splits
- * its instruction drain into probe-interval chunks and calls
- * onSample() after each one. The split is invisible to the
- * simulation: Workload::nextBatch is exactly stream-equivalent under
- * any batching (workload/workload.hh), and all timing state lives in
- * run()-local variables that persist across chunks — so a probed run
- * retires the identical instruction stream with identical timing,
- * cycle for cycle. With no probe attached the cores execute a single
- * unchunked drain, today's exact code path; the only cost of the
- * feature when disabled is one branch per run() call.
+ * A probe is attached to a core with setProbe(); the core's feed()
+ * then splits the instructions it is handed at probe-interval
+ * boundaries (counted from the window's begin()) and calls onSample()
+ * at each one. The split is invisible to the simulation: the timing
+ * state lives in the core's run state, which persists across feed()
+ * calls, so a probed run retires the identical instruction stream
+ * with identical timing, cycle for cycle, however the stream reaches
+ * feed() (a workload drained in batches, or a lockstep window shared
+ * with other Systems). With no probe attached feed() times each span
+ * in one piece; the only cost of the feature when disabled is one
+ * branch per feed() call.
  */
 
 #ifndef RCACHE_TELEMETRY_PROBE_HH

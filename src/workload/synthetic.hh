@@ -61,6 +61,8 @@ struct PhaseSpec
     std::uint64_t periodInsts = 200000;
     /** Periodic only: fraction of each period spent at @c hi. */
     double dutyHi = 0.5;
+
+    bool operator==(const PhaseSpec &o) const = default;
 };
 
 /** One data region. */
@@ -82,6 +84,8 @@ struct DataRegion
     double hotWeight = 0.85;
     /** Whether the data phase schedule scales this region. */
     bool phased = true;
+
+    bool operator==(const DataRegion &o) const = default;
 };
 
 /** Full parameterization of one synthetic application. */
@@ -148,6 +152,9 @@ struct BenchmarkProfile
      * makeWorkload (workload_factory.hh), never SyntheticWorkload.
      */
     std::string traceSpec;
+
+    /** Equal profiles make equal streams. */
+    bool operator==(const BenchmarkProfile &o) const = default;
 };
 
 /** Deterministic stream generator; see file comment. */

@@ -29,11 +29,15 @@ class Workload;
 
 /**
  * Drain @p n instructions of @p wl through fixed-size nextBatch
- * batches, invoking @p body(inst) once per instruction in stream
+ * batches, invoking @p fn(insts, count) once per batch in stream
  * order. The shared scaffold of every CPU model's run loop: one
  * stack-resident batch, one virtual dispatch per batch, a short tail
  * batch at the end.
  */
+template <typename Fn>
+inline void forEachBatch(Workload &wl, std::uint64_t n, Fn &&fn);
+
+/** forEachBatch, invoking @p body(inst) once per instruction. */
 template <typename Body>
 inline void forEachBatched(Workload &wl, std::uint64_t n,
                            Body &&body);
@@ -99,9 +103,9 @@ class TraceWorkload final : public Workload
     std::string name_;
 };
 
-template <typename Body>
+template <typename Fn>
 inline void
-forEachBatched(Workload &wl, std::uint64_t n, Body &&body)
+forEachBatch(Workload &wl, std::uint64_t n, Fn &&fn)
 {
     MicroInst batch[workloadBatchSize];
     std::uint64_t done = 0;
@@ -111,9 +115,18 @@ forEachBatched(Workload &wl, std::uint64_t n, Body &&body)
                 workloadBatchSize, n - done));
         wl.nextBatch(batch, fill);
         done += fill;
-        for (std::size_t k = 0; k < fill; ++k)
-            body(batch[k]);
+        fn(static_cast<const MicroInst *>(batch), fill);
     }
+}
+
+template <typename Body>
+inline void
+forEachBatched(Workload &wl, std::uint64_t n, Body &&body)
+{
+    forEachBatch(wl, n, [&](const MicroInst *insts, std::size_t fill) {
+        for (std::size_t k = 0; k < fill; ++k)
+            body(insts[k]);
+    });
 }
 
 } // namespace rcache

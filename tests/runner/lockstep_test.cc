@@ -1,0 +1,307 @@
+/** @file
+ * Lockstep groups: Systems fed one shared stream in windows must
+ * report exactly what each reports when run alone from its own
+ * workload. Covered: synthetic and trace streams, both core models,
+ * every resizing strategy, several replacement policies, telemetry
+ * (timeline rows on an interval the window does not divide, and
+ * resize events), the group plan, and whole mixed batches through
+ * SweepRunner at several worker counts.
+ */
+
+#include <gtest/gtest.h>
+
+#include <numeric>
+#include <sstream>
+
+#include "runner/sweep_runner.hh"
+#include "sim/experiment.hh"
+#include "telemetry/run_telemetry.hh"
+#include "workload/profiles.hh"
+#include "workload/workload_factory.hh"
+
+namespace rcache
+{
+
+namespace
+{
+
+constexpr std::uint64_t kInsts = 30000;
+
+/** Every field a run reports, compared exactly. */
+void
+expectSame(const RunResult &a, const RunResult &b, const std::string &what)
+{
+    SCOPED_TRACE(what);
+    EXPECT_EQ(a.workload, b.workload);
+    EXPECT_EQ(a.insts, b.insts);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.activity.outOfOrder, b.activity.outOfOrder);
+    EXPECT_EQ(a.activity.insts, b.activity.insts);
+    EXPECT_EQ(a.activity.cycles, b.activity.cycles);
+    EXPECT_EQ(a.activity.intOps, b.activity.intOps);
+    EXPECT_EQ(a.activity.fpOps, b.activity.fpOps);
+    EXPECT_EQ(a.activity.loads, b.activity.loads);
+    EXPECT_EQ(a.activity.stores, b.activity.stores);
+    EXPECT_EQ(a.activity.branches, b.activity.branches);
+    EXPECT_EQ(a.activity.mispredicts, b.activity.mispredicts);
+    EXPECT_EQ(a.energy.icache, b.energy.icache);
+    EXPECT_EQ(a.energy.dcache, b.energy.dcache);
+    EXPECT_EQ(a.energy.l2, b.energy.l2);
+    EXPECT_EQ(a.energy.memory, b.energy.memory);
+    EXPECT_EQ(a.energy.core, b.energy.core);
+    EXPECT_EQ(a.energy.clock, b.energy.clock);
+    EXPECT_EQ(a.avgIl1Bytes, b.avgIl1Bytes);
+    EXPECT_EQ(a.avgDl1Bytes, b.avgDl1Bytes);
+    EXPECT_EQ(a.il1MissRatio, b.il1MissRatio);
+    EXPECT_EQ(a.dl1MissRatio, b.dl1MissRatio);
+    EXPECT_EQ(a.l2MissRatio, b.l2MissRatio);
+    EXPECT_EQ(a.il1Resizes, b.il1Resizes);
+    EXPECT_EQ(a.dl1Resizes, b.dl1Resizes);
+    EXPECT_EQ(a.il1LevelTrace, b.il1LevelTrace);
+    EXPECT_EQ(a.dl1LevelTrace, b.dl1LevelTrace);
+    EXPECT_EQ(a.engine, b.engine);
+    EXPECT_EQ(a.measuredInsts, b.measuredInsts);
+    EXPECT_EQ(a.warmupInsts, b.warmupInsts);
+    EXPECT_EQ(a.il1Accesses, b.il1Accesses);
+    EXPECT_EQ(a.il1Misses, b.il1Misses);
+    EXPECT_EQ(a.dl1Accesses, b.dl1Accesses);
+    EXPECT_EQ(a.dl1Misses, b.dl1Misses);
+}
+
+BenchmarkProfile
+traceProfile(const std::string &file)
+{
+    BenchmarkProfile p;
+    std::string err;
+    EXPECT_TRUE(traceProfileFromSpec(
+        "trace:" + std::string(RCACHE_TEST_DATA_DIR) + "/" + file, &p,
+        &err))
+        << err;
+    return p;
+}
+
+std::vector<BenchmarkProfile>
+streams()
+{
+    return {profileByName("gcc"), profileByName("swim"),
+            traceProfile("mini.trace"), traceProfile("skewed_scan.trace")};
+}
+
+/** Both core models x none/static/dynamic dl1 resizing x three
+ *  policies, all on @p profile. */
+std::vector<RunJob>
+designPoints(const BenchmarkProfile &profile)
+{
+    std::vector<RunJob> jobs;
+    for (const CoreModel model :
+         {CoreModel::OutOfOrder, CoreModel::InOrder}) {
+        for (const char *policy : {"lru", "random", "wtlfu"}) {
+            for (const Strategy strategy :
+                 {Strategy::None, Strategy::Static, Strategy::Dynamic}) {
+                RunJob job;
+                job.profile = profile;
+                job.insts = kInsts;
+                job.cfg.coreModel = model;
+                job.cfg.policy = policy;
+                if (strategy != Strategy::None)
+                    job.cfg.dl1Org = Organization::SelectiveSets;
+                job.dl1.strategy = strategy;
+                job.dl1.staticLevel = 1;
+                job.dl1.dyn.intervalAccesses = 512;
+                job.dl1.dyn.missBound = 16;
+                job.label = profile.name + "/" + policy + "/" +
+                            strategyName(strategy) + "/" +
+                            (model == CoreModel::InOrder ? "io" : "ooo");
+                jobs.push_back(job);
+            }
+        }
+    }
+    return jobs;
+}
+
+/** The reference: a fresh workload and System for @p job alone. */
+RunResult
+solo(const RunJob &job)
+{
+    const std::unique_ptr<Workload> wl = makeWorkload(job.profile);
+    System sys(job.cfg);
+    return sys.run(*wl, job.insts, job.il1, job.dl1, job.engine,
+                   job.telemetry);
+}
+
+std::vector<std::size_t>
+allOf(const std::vector<RunJob> &jobs)
+{
+    std::vector<std::size_t> group(jobs.size());
+    std::iota(group.begin(), group.end(), 0);
+    return group;
+}
+
+std::string
+timelineText(const RunTelemetry &t)
+{
+    std::ostringstream os;
+    writeTimelineJsonl(os, t.timeline);
+    return os.str();
+}
+
+std::string
+eventsText(const RunTelemetry &t)
+{
+    std::ostringstream os;
+    writeResizeEventsJsonl(os, t.events.events());
+    return os.str();
+}
+
+} // namespace
+
+TEST(LockstepTest, GroupEqualsSoloOnEveryStream)
+{
+    for (const BenchmarkProfile &profile : streams()) {
+        const std::vector<RunJob> jobs = designPoints(profile);
+        std::vector<double> busy;
+        const std::vector<RunResult> grouped =
+            executeLockstep(jobs, allOf(jobs), &busy);
+        ASSERT_EQ(grouped.size(), jobs.size());
+        ASSERT_EQ(busy.size(), jobs.size());
+        for (std::size_t k = 0; k < jobs.size(); ++k) {
+            expectSame(grouped[k], solo(jobs[k]), jobs[k].label);
+            EXPECT_GE(busy[k], 0.0);
+        }
+    }
+}
+
+TEST(LockstepTest, DynamicPointsActuallyResize)
+{
+    // The identity above is only meaningful if the dynamic points
+    // move levels mid-run on some stream.
+    std::uint64_t resizes = 0;
+    for (const BenchmarkProfile &profile : streams()) {
+        const std::vector<RunJob> jobs = designPoints(profile);
+        for (const RunResult &r : executeLockstep(jobs, allOf(jobs)))
+            resizes += r.dl1Resizes;
+    }
+    EXPECT_GT(resizes, 0u);
+}
+
+TEST(LockstepTest, TelemetryEqualsSolo)
+{
+    // 777 shares no factor with the 128-instruction stream window,
+    // so probe samples fall mid-window.
+    for (const BenchmarkProfile &profile :
+         {profileByName("swim"), traceProfile("skewed_scan.trace")}) {
+        std::vector<RunJob> jobs = designPoints(profile);
+        std::vector<RunTelemetry> grouped_t(jobs.size());
+        std::vector<RunTelemetry> solo_t(jobs.size());
+        for (std::size_t k = 0; k < jobs.size(); ++k) {
+            for (RunTelemetry *t : {&grouped_t[k], &solo_t[k]}) {
+                t->timelineInterval = 777;
+                t->resizeEvents = true;
+            }
+        }
+        for (std::size_t k = 0; k < jobs.size(); ++k)
+            jobs[k].telemetry = &grouped_t[k];
+        const std::vector<RunResult> grouped =
+            executeLockstep(jobs, allOf(jobs));
+
+        bool any_events = false;
+        for (std::size_t k = 0; k < jobs.size(); ++k) {
+            jobs[k].telemetry = &solo_t[k];
+            expectSame(grouped[k], solo(jobs[k]), jobs[k].label);
+            EXPECT_FALSE(grouped_t[k].timeline.empty());
+            EXPECT_EQ(timelineText(grouped_t[k]),
+                      timelineText(solo_t[k]))
+                << jobs[k].label;
+            EXPECT_EQ(eventsText(grouped_t[k]), eventsText(solo_t[k]))
+                << jobs[k].label;
+            any_events = any_events || !grouped_t[k].events.empty();
+        }
+        EXPECT_TRUE(any_events) << profile.name;
+    }
+}
+
+TEST(LockstepTest, PlanGroupsOnlyStreamSharingFullDetailJobs)
+{
+    std::vector<RunJob> jobs;
+    const auto add = [&](const char *app, std::uint64_t insts) {
+        RunJob job;
+        job.profile = profileByName(app);
+        job.insts = insts;
+        jobs.push_back(job);
+        return jobs.size() - 1;
+    };
+    for (int i = 0; i < 10; ++i)
+        add("gcc", kInsts);                    // jobs 0-9
+    add("gcc", 2 * kInsts);                    // 10: another length
+    jobs[add("gcc", kInsts)].engine =          // 11: sampled
+        EngineSpec::makeSampled(10000, 1000, 2000);
+    jobs[add("gcc", kInsts)].cfg.cores = 2;    // 12: multi-core
+    BenchmarkProfile reseeded = profileByName("gcc");
+    reseeded.seed = 7;                         // 13: same name, other
+    jobs.push_back(jobs[0]);                   //     stream
+    jobs.back().profile = reseeded;
+    add("gcc", kInsts);                        // 14: joins jobs 0-9
+
+    using Groups = std::vector<std::vector<std::size_t>>;
+    // One worker: one stream of 11 jobs splits at the cap of 8.
+    EXPECT_EQ(planLockstepGroups(jobs, 1),
+              (Groups{{0, 1, 2, 3, 4, 5, 6, 7},
+                      {8, 9, 14},
+                      {10},
+                      {11},
+                      {12},
+                      {13}}));
+    // Three workers: K = ceil(11 / 3) = 4.
+    EXPECT_EQ(planLockstepGroups(jobs, 3),
+              (Groups{{0, 1, 2, 3},
+                      {4, 5, 6, 7},
+                      {8, 9, 14},
+                      {10},
+                      {11},
+                      {12},
+                      {13}}));
+    // More workers than jobs: every job runs alone.
+    EXPECT_EQ(planLockstepGroups(jobs, 16).size(), jobs.size());
+}
+
+TEST(LockstepTest, MixedBatchMatchesSerialAtEveryJobCount)
+{
+    // Full-detail jobs of two apps at two lengths, plus sampled and
+    // multi-core jobs that must bypass grouping.
+    std::vector<RunJob> jobs;
+    for (const std::uint64_t insts : {kInsts, kInsts + 5000}) {
+        Experiment exp(SystemConfig::base(), insts);
+        for (const char *app : {"ammp", "gcc"}) {
+            const auto s = exp.staticSearchJobs(
+                profileByName(app), CacheSide::DCache,
+                Organization::SelectiveSets);
+            jobs.insert(jobs.end(), s.begin(), s.end());
+        }
+        const auto d = exp.searchJobs(profileByName("swim"),
+                                      CacheSide::DCache,
+                                      Organization::SelectiveSets,
+                                      Strategy::Dynamic);
+        jobs.insert(jobs.end(), d.begin(), d.begin() + 4);
+    }
+    RunJob sampled = jobs.front();
+    sampled.engine = EngineSpec::makeSampled(10000, 1000, 2000);
+    jobs.push_back(sampled);
+    RunJob multi = jobs.front();
+    multi.cfg.cores = 2;
+    multi.mixProfiles = {profileByName("gcc"), profileByName("swim")};
+    jobs.push_back(multi);
+    jobs.push_back(jobs[1]);
+
+    const std::vector<RunResult> serial = SweepRunner::runSerial(jobs);
+    for (const unsigned workers : {1u, 2u, 3u, 8u}) {
+        SweepRunner runner(workers);
+        const std::vector<RunResult> got = runner.run(jobs);
+        ASSERT_EQ(got.size(), jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            expectSame(got[i], serial[i],
+                       jobs[i].label + " @jobs " +
+                           std::to_string(workers));
+    }
+}
+
+} // namespace rcache

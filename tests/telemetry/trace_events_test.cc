@@ -9,10 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <map>
 #include <sstream>
 #include <thread>
 
+#include "runner/sweep_runner.hh"
 #include "telemetry/trace_events.hh"
+#include "workload/profiles.hh"
 
 namespace rcache
 {
@@ -25,6 +30,54 @@ std::string dump(const TraceEventRecorder &rec)
     std::ostringstream os;
     rec.write(os);
     return os.str();
+}
+
+/** The fields of one written span line the runner tests check. */
+struct Span
+{
+    std::string label;
+    long long ts = 0;
+    long long dur = 0;
+    int tid = 0;
+    std::string group;
+    int groupSize = 0;
+};
+
+/** Value after `"key":` on @p line: a bare number or a string. */
+std::string field(const std::string &line, const std::string &key)
+{
+    const std::string tag = "\"" + key + "\":";
+    const auto at = line.find(tag);
+    if (at == std::string::npos)
+        return "";
+    std::size_t from = at + tag.size();
+    if (line[from] == '"')
+        return line.substr(from + 1, line.find('"', from + 1) - from - 1);
+    std::size_t to = from;
+    while (to < line.size() && (std::isdigit(line[to]) || line[to] == '-'))
+        ++to;
+    return line.substr(from, to - from);
+}
+
+/** Every complete span of a written recorder (one event per line). */
+std::vector<Span> spans(const TraceEventRecorder &rec)
+{
+    std::vector<Span> out;
+    std::istringstream is(dump(rec));
+    std::string line;
+    while (std::getline(is, line)) {
+        if (line.find("\"ph\":\"X\"") == std::string::npos)
+            continue;
+        Span s;
+        s.label = field(line, "label");
+        s.ts = std::stoll(field(line, "ts"));
+        s.dur = std::stoll(field(line, "dur"));
+        s.tid = std::stoi(field(line, "tid"));
+        s.group = field(line, "group");
+        s.groupSize = std::stoi(field(line, "group_size"));
+        out.push_back(s);
+    }
+    return out;
 }
 
 } // namespace
@@ -132,6 +185,78 @@ TEST(TraceEventsTest, ConcurrentRecordingIsSafeAndComplete)
     const std::string out = dump(rec);
     EXPECT_EQ(out.find("\"tid\":" + std::to_string(kThreads)),
               std::string::npos);
+}
+
+TEST(TraceEventsTest, LockstepGroupSpansTileTheirWorkersWindows)
+{
+    // Two streams of 10 full-detail jobs each plus a sampled job: at
+    // two workers the runner forms groups of five, and the sampled
+    // job runs alone.
+    std::vector<RunJob> jobs;
+    for (const char *app : {"gcc", "swim"}) {
+        for (unsigned level = 0; level < 10; ++level) {
+            RunJob job;
+            job.label = std::string(app) + "/L" + std::to_string(level);
+            job.profile = profileByName(app);
+            job.insts = 20000;
+            job.cfg.dl1Org = Organization::SelectiveWays;
+            job.cfg.dl1.assoc = 16;
+            job.dl1.strategy = Strategy::Static;
+            job.dl1.staticLevel = level;
+            jobs.push_back(job);
+        }
+    }
+    RunJob sampled = jobs.front();
+    sampled.label = "sampled";
+    sampled.engine = EngineSpec::makeSampled(10000, 1000, 2000);
+    jobs.push_back(sampled);
+
+    TraceEventRecorder rec;
+    SweepRunner runner(2);
+    runner.setTrace(&rec);
+    runner.run(jobs);
+
+    const std::vector<Span> all = spans(rec);
+    // Exactly one span per job.
+    ASSERT_EQ(all.size(), jobs.size());
+    std::map<std::string, int> per_label;
+    for (const Span &s : all)
+        ++per_label[s.label];
+    for (const RunJob &job : jobs)
+        EXPECT_EQ(per_label[job.label], 1) << job.label;
+
+    // Group ids and sizes agree with the plan: four groups of five
+    // and the sampled job alone.
+    std::map<std::string, std::vector<Span>> groups;
+    for (const Span &s : all)
+        groups[s.group].push_back(s);
+    ASSERT_EQ(groups.size(), 5u);
+    for (auto &[id, members] : groups) {
+        SCOPED_TRACE("group " + id);
+        EXPECT_EQ(static_cast<int>(members.size()),
+                  members.front().groupSize);
+        EXPECT_EQ(members.front().label == "sampled" ? 1 : 5,
+                  members.front().groupSize);
+        // A group's spans run back to back on one worker: together
+        // they cover its window once, not once per job.
+        for (std::size_t k = 1; k < members.size(); ++k) {
+            EXPECT_EQ(members[k].tid, members.front().tid);
+            EXPECT_EQ(members[k].ts,
+                      members[k - 1].ts + members[k - 1].dur);
+        }
+    }
+
+    // Spans on one worker never overlap.
+    std::map<int, std::vector<Span>> by_tid;
+    for (const Span &s : all)
+        by_tid[s.tid].push_back(s);
+    for (auto &[tid, list] : by_tid) {
+        std::sort(list.begin(), list.end(),
+                  [](const Span &a, const Span &b) { return a.ts < b.ts; });
+        for (std::size_t k = 1; k < list.size(); ++k)
+            EXPECT_LE(list[k - 1].ts + list[k - 1].dur, list[k].ts)
+                << "tid " << tid;
+    }
 }
 
 } // namespace rcache
