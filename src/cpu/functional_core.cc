@@ -69,21 +69,17 @@ FunctionalCore::run(Workload &workload, std::uint64_t num_insts)
         }
     };
 
-    if (!probe_) {
-        forEachBatched(workload, num_insts, body);
-    } else {
-        // Probed: chunked drain over the same member state —
-        // stream-identical to the single drain (telemetry/probe.hh).
-        const std::uint64_t stride =
-            std::max<std::uint64_t>(1, probe_->sampleInterval());
-        std::uint64_t done = 0;
-        while (done < num_insts) {
-            const std::uint64_t chunk =
-                std::min(num_insts - done, stride);
-            forEachBatched(workload, chunk, body);
-            done += chunk;
+    // Probed runs drain in sample-interval chunks over the same member
+    // state — stream-identical to one drain (telemetry/probe.hh).
+    const std::uint64_t stride =
+        probe_ ? std::max<std::uint64_t>(1, probe_->sampleInterval())
+               : num_insts;
+    for (std::uint64_t done = 0; done < num_insts;) {
+        const std::uint64_t chunk = std::min(num_insts - done, stride);
+        forEachBatched(workload, chunk, body);
+        done += chunk;
+        if (probe_)
             probe_->onWarmupSample(done);
-        }
     }
     instsRun_ += num_insts;
 }
