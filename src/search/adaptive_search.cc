@@ -77,10 +77,11 @@ evaluateRound(const TuneContext &ctx,
                 return analytic.price(jobs);
             });
     }
-    // The passes' stack-distance state (about 17 MB on the Figure 4
-    // grid) was freed on this thread; the pool workers of the later
-    // rounds allocate their Systems from arenas of their own, so
-    // return it rather than keep it resident beside them.
+    // The passes' stack-distance state (most of the 20 MB an analytic
+    // Figure 4 sweep peaks at) was freed on this thread; the pool
+    // workers of the later rounds allocate their Systems from arenas
+    // of their own, so return it rather than keep it resident beside
+    // them.
     releaseFreedHeap();
     return records;
 }
