@@ -8,7 +8,6 @@
 
 #include "analytic/analytic_engine.hh"
 #include "core/size_schedule.hh"
-#include "cpu/functional_core.hh"
 #include "runner/sweep_runner.hh"
 #include "scenario/scenario_spec.hh"
 #include "search/adaptive_search.hh"
@@ -109,15 +108,10 @@ functionalRun(const BenchOptions &opts)
 {
     const double best = bestWallSeconds(opts.repetitions, [&] {
         SyntheticWorkload wl(profileByName(benchApp));
-        const SystemConfig cfg = SystemConfig::base();
-        Cache il1("il1", cfg.il1);
-        Cache dl1("dl1", cfg.dl1);
-        Hierarchy hier(&il1, &dl1, cfg.l2, cfg.lat);
-        BranchPredictor bpred(cfg.core.bpred);
-        FunctionalCore func(hier, bpred, cfg.core.fetchWidth, nullptr,
-                            nullptr);
-        func.run(wl, opts.items);
-        consume(dl1.misses());
+        System sys(SystemConfig::base());
+        sys.open({}, {}, EngineMode::Sampled, nullptr);
+        sys.warm(wl, opts.items);
+        consume(sys.dl1().cache().misses());
     });
     return makeResult("functional_warmup", "Minst/s", opts.items,
                       opts.repetitions, best,

@@ -6,7 +6,7 @@
 
 #include "cache/hierarchy.hh"
 #include "core/size_schedule.hh"
-#include "cpu/branch_predictor.hh"
+#include "cpu/fetch_front_end.hh"
 #include "workload/synthetic.hh"
 #include "workload/workload_factory.hh"
 
@@ -201,23 +201,15 @@ AnalyticPass::run()
     const std::unique_ptr<Workload> wlp = makeWorkload(profile_);
     Workload &wl = *wlp;
 
-    // Fetch replica of cpu/core.cc fetchInst(): one il1 access per
-    // fetch-group boundary or block change; taken or mispredicted
-    // branches end the group (redirectFetch). Matching the timing
-    // cores' redundant in-block re-probes is what makes the Cache
-    // access counters — not just the miss counts — line up exactly.
-    Addr curFetchBlock = ~Addr{0};
-    unsigned groupRemaining = 0;
+    // The timing cores' fetch rule: reading the i-cache on their
+    // redundant in-block re-reads too is what makes the Cache access
+    // counters, not just the miss counts, line up exactly.
+    FetchFrontEnd fetch(il1BlockBits_, fetchWidth_);
 
     forEachBatched(wl, insts_, [&](const MicroInst &inst) {
         ++mix_.insts;
-        const Addr blk = inst.pc >> il1BlockBits_;
-        if (blk != curFetchBlock || groupRemaining == 0) {
+        if (fetch.fetch(inst.pc))
             il1Event(inst.pc);
-            curFetchBlock = blk;
-            groupRemaining = fetchWidth_;
-        }
-        --groupRemaining;
 
         switch (inst.op) {
           case OpClass::IntAlu:
@@ -234,19 +226,13 @@ AnalyticPass::run()
             ++mix_.stores;
             dl1Event(inst.effAddr, true);
             break;
-          case OpClass::Branch: {
+          case OpClass::Branch:
             // The timing cores also charge branches as int-ALU work
             // (energy), and both issue the predictor update once.
             ++mix_.branches;
             ++mix_.intOps;
-            const bool correct = bpred.predictAndUpdate(
-                inst.pc, inst.taken, inst.target);
-            if (!correct || inst.taken) {
-                curFetchBlock = ~Addr{0};
-                groupRemaining = 0;
-            }
+            fetch.resolveBranch(bpred, inst);
             break;
-          }
         }
     });
     mix_.mispredicts = bpred.mispredicts();
@@ -273,8 +259,7 @@ AnalyticPass::run()
         b.dl1Writebacks = d.writebacks();
         b.l2Accesses = ctx->hier.l2().accesses();
         b.l2Misses = ctx->hier.l2().misses();
-        b.memAccesses =
-            ctx->hier.memReads() + ctx->hier.memWrites();
+        b.memAccesses = ctx->hier.memAccesses();
         b.il1MissL2Hits = ctx->il1MissL2Hit;
         b.dl1MissL2Hits = ctx->dl1MissL2Hit;
         b.l2HitPenalty = ctx->hier.l2HitPenalty();

@@ -16,13 +16,12 @@
  *  - a real BranchPredictor plus the instruction-mix tallies the
  *    energy model charges per event.
  *
- * The pass replicates the *timing cores'* reference stream, not an
- * idealized one: instruction fetch performs one il1 access per
- * fetch-group boundary or block change (redundant in-block re-probes
- * included — they are real, guaranteed-MRU Cache accesses in the
- * detailed model and are fed to the profiles the same way), data
- * accesses issue in program order, and taken/mispredicted branches
- * restart the fetch group. With true-LRU replacement and a static
+ * The pass walks the *timing cores'* reference stream, not an
+ * idealized one: instruction fetch follows their FetchFrontEnd rule
+ * (cpu/fetch_front_end.hh) — one il1 access per fetch-group boundary
+ * or block change, redundant in-block re-reads included, and
+ * taken/mispredicted branches restart the fetch group — and data
+ * accesses issue in program order. With true-LRU replacement and a static
  * geometry this makes the per-geometry L1 access and miss counts
  * *equal* to the detailed engine's, which tests/analytic/ pins.
  *

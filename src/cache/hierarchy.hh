@@ -133,6 +133,26 @@ class Hierarchy
 
     std::uint64_t memReads() const { return memReads_.value(); }
     std::uint64_t memWrites() const { return memWrites_.value(); }
+    std::uint64_t memAccesses() const { return memReads() + memWrites(); }
+
+    /** @name This core's L2 traffic
+     * The owned L2's totals, or the shared L2's counts attributed to
+     * coreId(), so callers never ask which form they hold.
+     */
+    /// @{
+    std::uint64_t
+    l2Accesses() const
+    {
+        return sharedL2_ ? sharedL2_->coreStats(coreId_).accesses
+                         : l2_->accesses();
+    }
+    std::uint64_t
+    l2Misses() const
+    {
+        return sharedL2_ ? sharedL2_->coreStats(coreId_).misses
+                         : l2_->misses();
+    }
+    /// @}
 
     /** Attached shared L2, or null in the owned-L2 (single-core)
      *  form. */

@@ -13,7 +13,7 @@ Core::Core(const CoreParams &params, Hierarchy &hier,
       mshr_(params.mshrs),
       wb_(params.wbEntries, params.wbDrainLatency),
       fetchSlots_(params.fetchWidth),
-      il1BlockBits_(hier.il1().geometry().blockBits())
+      fetch_(hier.il1().geometry().blockBits(), params.fetchWidth)
 {
 }
 
@@ -79,36 +79,26 @@ Core::resetTiming()
     mshr_.reset();
     wb_.reset();
     fetchSlots_.reset();
+    fetch_.redirect();
     nextFetchCycle_ = 0;
-    curFetchBlock_ = ~Addr{0};
     blockReady_ = 0;
-    groupRemaining_ = 0;
-}
-
-void
-Core::redirectFetch(std::uint64_t cycle)
-{
-    curFetchBlock_ = ~Addr{0};
-    groupRemaining_ = 0;
-    nextFetchCycle_ = std::max(nextFetchCycle_, cycle);
 }
 
 bool
 Core::resolveBranch(const MicroInst &inst,
                     std::uint64_t complete_cycle)
 {
-    const bool correct =
-        bpred_.predictAndUpdate(inst.pc, inst.taken, inst.target);
-    if (!correct) {
-        // Redirect when the branch resolves; the frontend refill
+    const bool mispredicted = fetch_.resolveBranch(bpred_, inst);
+    if (mispredicted) {
+        // Refetch when the branch resolves; the frontend refill
         // penalty comes out of frontendDepth.
-        redirectFetch(complete_cycle + 1);
+        nextFetchCycle_ = std::max(nextFetchCycle_, complete_cycle + 1);
     } else if (inst.taken) {
-        // Correctly predicted taken: the fetch group breaks and the
-        // target block is fetched from the next cycle.
-        redirectFetch(nextFetchCycle_ + 1);
+        // Correctly predicted taken: the target block is fetched from
+        // the next cycle.
+        ++nextFetchCycle_;
     }
-    return !correct;
+    return mispredicted;
 }
 
 } // namespace rcache

@@ -24,6 +24,7 @@
 #include "cache/mshr.hh"
 #include "core/resize_policy.hh"
 #include "cpu/branch_predictor.hh"
+#include "cpu/fetch_front_end.hh"
 #include "energy/energy_model.hh"
 #include "telemetry/probe.hh"
 #include "workload/workload.hh"
@@ -136,8 +137,8 @@ class Core
      * Restart the timing machinery at cycle 0 for a fresh measurement
      * window: fetch engine, bandwidth allocators, MSHRs, writeback
      * buffer. Warm state (the branch predictor, and the caches, which
-     * live in the hierarchy) is untouched. The sampling engine calls
-     * this between detailed windows; run() may then be called again.
+     * live in the hierarchy) is untouched. System calls this before
+     * every measured window; run() may then be called again.
      */
     void resetTiming();
 
@@ -162,38 +163,29 @@ class Core
     virtual std::uint64_t windowCycles() const = 0;
 
     /**
-     * Fetch one instruction: accesses the i-cache when crossing into a
-     * new block, applies fetch bandwidth, and returns the fetch cycle.
-     * Inline: runs once per simulated instruction.
+     * Fetch one instruction: reads the i-cache when the fetch rule
+     * (cpu/fetch_front_end.hh) says so, applies fetch bandwidth, and
+     * returns the fetch cycle. Inline: runs once per simulated
+     * instruction.
      */
     std::uint64_t
     fetchInst(const MicroInst &inst)
     {
-        // The i-cache SRAM is read once per fetch group: on every
-        // block transition and again each time a group's worth of
-        // instructions has been consumed from the same block (a new
-        // fetch cycle).
-        const Addr blk = inst.pc >> il1BlockBits_;
-        if (blk != curFetchBlock_ || groupRemaining_ == 0) {
+        if (fetch_.fetch(inst.pc)) {
             const std::uint64_t t = nextFetchCycle_;
             MemAccessResult res = hier_.instAccess(inst.pc);
             notifyIl1(res.l1Hit, t);
             blockReady_ = t + res.latency - 1;
-            curFetchBlock_ = blk;
-            groupRemaining_ = params_.fetchWidth;
         }
-        --groupRemaining_;
         const std::uint64_t fc = fetchSlots_.alloc(blockReady_);
         nextFetchCycle_ = std::max(nextFetchCycle_, fc);
         return fc;
     }
 
-    /** Force the next fetch to re-access the i-cache at @p cycle. */
-    void redirectFetch(std::uint64_t cycle);
-
     /**
-     * Resolve the branch @p inst fetched at @p fetch_cycle completing
-     * at @p complete_cycle; applies prediction and redirects.
+     * Resolve the branch @p inst completing at @p complete_cycle:
+     * applies prediction, ends the fetch group, and times the
+     * refetch.
      * @return true if mispredicted.
      */
     bool resolveBranch(const MicroInst &inst,
@@ -226,17 +218,10 @@ class Core
 
     SlotAllocator fetchSlots_;
 
-    /** log2(i-cache block size), hoisted out of the per-instruction
-     *  fetch path (geometry is immutable for a core's lifetime). */
-    unsigned il1BlockBits_;
-
-    /** Fetch engine state. */
+    /** Fetch engine: the i-cache read rule plus its timing. */
+    FetchFrontEnd fetch_;
     std::uint64_t nextFetchCycle_ = 0;
-    Addr curFetchBlock_ = ~Addr{0};
     std::uint64_t blockReady_ = 0;
-    /** Instructions left in the current fetch group; the i-cache SRAM
-     *  is read once per group, not once per block. */
-    unsigned groupRemaining_ = 0;
 
     /** Event counts of the open window (cycles set by finish()). */
     CoreActivity activity_;

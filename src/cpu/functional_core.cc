@@ -13,9 +13,9 @@ FunctionalCore::FunctionalCore(Hierarchy &hier, BranchPredictor &bpred,
       bpred_(bpred),
       il1Policy_(il1_policy),
       dl1Policy_(dl1_policy),
-      fetchWidth_(fetch_width)
+      fetch_(hier.il1().geometry().blockBits(), fetch_width)
 {
-    rc_assert(fetchWidth_ > 0);
+    rc_assert(fetch_width > 0);
 }
 
 void
@@ -24,27 +24,15 @@ FunctionalCore::run(Workload &workload, std::uint64_t num_insts)
     // Resize policies receive now_cycle == 0: time does not advance
     // during fast-forward, and Cache::accumulateEnabledTime clamps
     // non-monotonic cycles, so the byte-cycle integral is untouched.
-    const unsigned block_bits = hier_.il1().geometry().blockBits();
 
     // Batched drain, same as the timing cores: one virtual dispatch
     // per workloadBatchSize instructions.
     const auto body = [&](const MicroInst &inst) {
-        // Fetch: real hierarchy access on block transitions;
-        // group re-reads of the current (hence MRU) block are
-        // guaranteed hits, so only the policy hears about them.
-        const Addr blk = inst.pc >> block_bits;
-        if (blk != curFetchBlock_) {
-            MemAccessResult res = hier_.instAccess(inst.pc);
+        if (fetch_.fetch(inst.pc)) {
+            const MemAccessResult res = hier_.instAccess(inst.pc);
             if (il1Policy_)
                 il1Policy_->onAccess(!res.l1Hit, 0);
-            curFetchBlock_ = blk;
-            groupRemaining_ = fetchWidth_;
-        } else if (groupRemaining_ == 0) {
-            if (il1Policy_)
-                il1Policy_->onAccess(false, 0);
-            groupRemaining_ = fetchWidth_;
         }
-        --groupRemaining_;
 
         switch (inst.op) {
           case OpClass::Load:
@@ -55,15 +43,9 @@ FunctionalCore::run(Workload &workload, std::uint64_t num_insts)
                 dl1Policy_->onAccess(!res.l1Hit, 0);
             break;
           }
-          case OpClass::Branch: {
-            const bool correct = bpred_.predictAndUpdate(
-                inst.pc, inst.taken, inst.target);
-            // The timing cores redirect on mispredicts and taken
-            // branches, breaking the fetch group.
-            if (!correct || inst.taken)
-                invalidateFetchBlock();
+          case OpClass::Branch:
+            fetch_.resolveBranch(bpred_, inst);
             break;
-          }
           default:
             break;
         }
@@ -81,7 +63,6 @@ FunctionalCore::run(Workload &workload, std::uint64_t num_insts)
         if (probe_)
             probe_->onWarmupSample(done);
     }
-    instsRun_ += num_insts;
 }
 
 } // namespace rcache

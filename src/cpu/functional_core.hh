@@ -3,22 +3,23 @@
  * FunctionalCore: advance machine *state* without timing.
  *
  * The sampling engine (sim/sampling.hh) skips between detailed
- * measurement windows and re-warms state before each one. For warming
- * only state that outlives a window matters: cache tags/LRU/dirty
- * bits (via the hierarchy), branch-predictor tables, and the resize
- * controllers' interval/miss counters. This core drives exactly those
- * and computes no cycles, which is what makes it several times
- * cheaper per instruction than the timing cores.
+ * measurement windows and re-warms state before each one
+ * (System::warm). For warming only state that outlives a window
+ * matters: cache tags, replacement state and dirty bits (via the
+ * hierarchy), branch-predictor tables, and the resize controllers'
+ * interval/miss counters. This core drives exactly those and computes
+ * no cycles, which is what makes it several times cheaper per
+ * instruction than the timing cores.
  *
- * Fidelity contract: after N functional instructions the cache
- * contents (tags, LRU order, dirty bits) and the resize policies'
- * access/miss counts equal what N detailed instructions would leave.
- * The timing cores re-read the i-cache SRAM once per fetch group and
- * after every redirect; those repeat reads hit the block that is
- * already most-recently-used, so this core notifies the i-cache
- * policy of the guaranteed hit without re-walking the hierarchy.
- * Only event counters used for energy (which fast-forward intervals
- * never contribute to the extrapolation) diverge.
+ * Fidelity contract: after N functional instructions the caches
+ * (tags, replacement state, dirty bits, and the access, miss and
+ * writeback counters), the branch predictor, and the resize
+ * policies' access/miss counts equal what N detailed instructions
+ * would leave. Fetch follows the timing cores' rule
+ * (cpu/fetch_front_end.hh) and really reads the i-cache on every
+ * group re-read, since a re-read changes replacement state under
+ * policies such as SLRU (promotion) and W-TinyLFU (frequency
+ * sketch). Only cycles, and what is priced from them, are missing.
  */
 
 #ifndef RCACHE_CPU_FUNCTIONAL_CORE_HH
@@ -27,6 +28,7 @@
 #include "cache/hierarchy.hh"
 #include "core/resize_policy.hh"
 #include "cpu/branch_predictor.hh"
+#include "cpu/fetch_front_end.hh"
 #include "telemetry/probe.hh"
 #include "workload/workload.hh"
 
@@ -56,13 +58,7 @@ class FunctionalCore
      * the i-cache. Call when a detailed window ran in between (its
      * fetch engine moved the stream).
      */
-    void invalidateFetchBlock()
-    {
-        curFetchBlock_ = ~Addr{0};
-        groupRemaining_ = 0;
-    }
-
-    std::uint64_t instsRun() const { return instsRun_; }
+    void invalidateFetchBlock() { fetch_.redirect(); }
 
     /** Attach a telemetry probe (null to detach); probed runs call
      *  probe->onWarmupSample every sampleInterval() instructions. */
@@ -73,11 +69,7 @@ class FunctionalCore
     BranchPredictor &bpred_;
     ResizePolicy *il1Policy_;
     ResizePolicy *dl1Policy_;
-    unsigned fetchWidth_;
-
-    Addr curFetchBlock_ = ~Addr{0};
-    unsigned groupRemaining_ = 0;
-    std::uint64_t instsRun_ = 0;
+    FetchFrontEnd fetch_;
     CoreProbe *probe_ = nullptr;
 };
 

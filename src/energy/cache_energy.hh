@@ -14,10 +14,10 @@ namespace rcache
 
 /**
  * The event totals the energy model consumes, decoupled from the
- * Cache that produced them. Whole runs read a Cache's counters
- * directly (CacheActivity::of); the sampling engine instead takes
- * snapshots around each detailed window, differences them, and scales
- * the deltas up to the full run before pricing them.
+ * Cache that produced them. System takes snapshots
+ * (CacheActivity::of) around each measured window, differences them,
+ * and scales the deltas up to the full run before pricing them (a
+ * full-detail run is one window at scale 1).
  */
 struct CacheActivity
 {

@@ -38,6 +38,23 @@ struct CoreActivity
     {
         return cycles ? static_cast<double>(insts) / cycles : 0.0;
     }
+
+    /** Add @p o's counts, cycles included; the timing-model flag
+     *  follows @p o. */
+    CoreActivity &
+    operator+=(const CoreActivity &o)
+    {
+        outOfOrder = o.outOfOrder;
+        insts += o.insts;
+        cycles += o.cycles;
+        intOps += o.intOps;
+        fpOps += o.fpOps;
+        loads += o.loads;
+        stores += o.stores;
+        branches += o.branches;
+        mispredicts += o.mispredicts;
+        return *this;
+    }
 };
 
 /** Per-structure energy totals for one run. */
@@ -87,8 +104,9 @@ class ProcessorEnergyModel
 
     /**
      * Price explicit activity totals instead of live Cache counters.
-     * The sampling engine extrapolates measured-window deltas to
-     * full-run totals and prices them through this overload.
+     * System::result extrapolates its measured-window deltas to
+     * full-run totals (scale 1 for full detail) and prices them
+     * through this overload.
      */
     EnergyBreakdown compute(const CoreActivity &activity,
                             const CacheActivity &il1,

@@ -1,14 +1,7 @@
 #include "sim/multi_core_system.hh"
 
 #include <algorithm>
-#include <cmath>
 
-#include "cpu/functional_core.hh"
-#include "cpu/inorder_core.hh"
-#include "cpu/ooo_core.hh"
-#include "telemetry/run_telemetry.hh"
-#include "telemetry/timeline.hh"
-#include "workload/synthetic.hh"
 #include "workload/workload_factory.hh"
 
 namespace rcache
@@ -65,80 +58,6 @@ class AddressSpaceWorkload final : public Workload
     Addr base_;
 };
 
-/** Everything one core owns privately. */
-struct CoreLane
-{
-    CoreLane(const SystemConfig &cfg, unsigned id, SharedL2 &l2,
-             const BenchmarkProfile &profile)
-        : workload(profile, MultiCoreSystem::addressSpaceBase(id)),
-          il1("il1", cfg.il1, cfg.il1Org, cfg.policy, id),
-          dl1("dl1", cfg.dl1, cfg.dl1Org, cfg.policy, id),
-          hier(&il1.cache(), &dl1.cache(), l2, id, cfg.lat)
-    {
-    }
-
-    AddressSpaceWorkload workload;
-    ResizableCache il1;
-    ResizableCache dl1;
-    Hierarchy hier;
-    std::unique_ptr<ResizePolicy> il1Policy;
-    std::unique_ptr<ResizePolicy> dl1Policy;
-    std::unique_ptr<Core> core;
-    std::unique_ptr<FunctionalCore> func;
-
-    std::uint64_t remaining = 0;
-
-    /** @name Accumulators across quanta / sampling periods */
-    /// @{
-    CoreActivity activity;
-    std::uint64_t cycles = 0;
-    CacheActivity il1Act, dl1Act;
-    double l2Accesses = 0, l2Misses = 0, memAccesses = 0;
-    std::uint64_t measured = 0, warmed = 0, fastForwarded = 0;
-    /// @}
-};
-
-/** The mirror of System::makePolicy for one lane's cache. */
-std::unique_ptr<ResizePolicy>
-makeLanePolicy(ResizableCache &cache, Hierarchy &hier,
-               const ResizeSetup &setup)
-{
-    switch (setup.strategy) {
-      case Strategy::None:
-        return nullptr;
-      case Strategy::Static:
-        rc_assert(cache.organization() != Organization::None ||
-                  setup.staticLevel == 0);
-        return std::make_unique<StaticPolicy>(
-            cache, hier.l1WritebackSink(), setup.staticLevel);
-      case Strategy::Dynamic:
-        rc_assert(cache.organization() != Organization::None);
-        return std::make_unique<DynamicMissRatioController>(
-            cache, hier.l1WritebackSink(), setup.dyn);
-    }
-    rc_panic("bad strategy");
-}
-
-void
-accumulate(CoreActivity &sum, const CoreActivity &act)
-{
-    sum.outOfOrder = act.outOfOrder;
-    sum.insts += act.insts;
-    sum.intOps += act.intOps;
-    sum.fpOps += act.fpOps;
-    sum.loads += act.loads;
-    sum.stores += act.stores;
-    sum.branches += act.branches;
-    sum.mispredicts += act.mispredicts;
-}
-
-std::uint64_t
-scaleCount(std::uint64_t v, double scale)
-{
-    return static_cast<std::uint64_t>(
-        std::llround(static_cast<double>(v) * scale));
-}
-
 } // namespace
 
 MultiCoreSystem::MultiCoreSystem(const SystemConfig &cfg)
@@ -164,225 +83,51 @@ MultiCoreSystem::run(const std::vector<BenchmarkProfile> &mix,
     if (engine.analytic())
         rc_fatal("the analytic engine supports single-core runs only");
 
-    // ---- build the lanes
-    std::vector<std::unique_ptr<CoreLane>> lanes;
+    // ---- one System per core over the shared L2, each with its
+    // private view of its stream
+    std::vector<std::unique_ptr<System>> lanes;
+    std::vector<std::unique_ptr<AddressSpaceWorkload>> streams;
     lanes.reserve(cfg_.cores);
+    streams.reserve(cfg_.cores);
     for (unsigned c = 0; c < cfg_.cores; ++c) {
-        auto lane = std::make_unique<CoreLane>(
-            cfg_, c, l2_, mix[c % mix.size()]);
-        lane->il1Policy =
-            makeLanePolicy(lane->il1, lane->hier, il1_setup);
-        lane->dl1Policy =
-            makeLanePolicy(lane->dl1, lane->hier, dl1_setup);
-        if (cfg_.modelOfCore(c) == CoreModel::OutOfOrder) {
-            lane->core = std::make_unique<OooCore>(
-                cfg_.core, lane->hier, lane->il1Policy.get(),
-                lane->dl1Policy.get());
-        } else {
-            lane->core = std::make_unique<InOrderCore>(
-                cfg_.core, lane->hier, lane->il1Policy.get(),
-                lane->dl1Policy.get());
-        }
-        if (engine.sampled()) {
-            lane->func = std::make_unique<FunctionalCore>(
-                lane->hier, lane->core->predictor(),
-                cfg_.core.fetchWidth, lane->il1Policy.get(),
-                lane->dl1Policy.get());
-        }
-        lane->remaining = insts_per_core;
-        lanes.push_back(std::move(lane));
-    }
-
-    // ---- telemetry: per-lane resize-event sinks and timeline
-    // recorders. Recorders live outside the loop and outlast every
-    // quantum; rows are harvested in core order at the end.
-    std::vector<std::unique_ptr<TimelineRecorder>> recorders;
-    if (telemetry) {
-        for (unsigned c = 0; c < cfg_.cores; ++c) {
-            CoreLane &lane = *lanes[c];
-            if (telemetry->resizeEvents) {
-                const ResizeTelemetry sink{&telemetry->events, c,
-                                           cfg_.core.wbDrainLatency};
-                if (auto *dyn =
-                        dynamic_cast<DynamicMissRatioController *>(
-                            lane.il1Policy.get()))
-                    dyn->setTelemetry(sink);
-                if (auto *dyn =
-                        dynamic_cast<DynamicMissRatioController *>(
-                            lane.dl1Policy.get()))
-                    dyn->setTelemetry(sink);
-            }
-            if (telemetry->wantsTimeline()) {
-                TimelineSources src;
-                src.core = c;
-                src.il1 = &lane.il1.cache();
-                src.dl1 = &lane.dl1.cache();
-                src.il1ExtraTagBits = lane.il1.extraTagBits();
-                src.dl1ExtraTagBits = lane.dl1.extraTagBits();
-                src.l2Accesses = [this, c] {
-                    return l2_.coreStats(c).accesses;
-                };
-                src.l2Misses = [this, c] {
-                    return l2_.coreStats(c).misses;
-                };
-                src.memAccesses = [&lane] {
-                    return lane.hier.memReads() +
-                           lane.hier.memWrites();
-                };
-                src.l2SizeBytes = l2_.cache().geometry().size;
-                src.timingCore = lane.core.get();
-                src.energy = &cfg_.energy;
-                recorders.push_back(std::make_unique<TimelineRecorder>(
-                    src, telemetry->timelineInterval));
-                lane.core->setProbe(recorders.back().get());
-                if (lane.func)
-                    lane.func->setProbe(recorders.back().get());
-            }
-        }
+        lanes.push_back(std::make_unique<System>(cfg_, l2_, c));
+        lanes.back()->open(il1_setup, dl1_setup, engine.mode,
+                           telemetry);
+        streams.push_back(std::make_unique<AddressSpaceWorkload>(
+            mix[c % mix.size()], addressSpaceBase(c)));
     }
 
     // ---- advance in deterministic round-robin turns. Full-detail
-    // turns run one quantum; sampled turns run one whole sampling
-    // period (skip / warm / measure), so the shared-L2 interleave is
-    // a pure function of the configuration in both modes.
+    // turns run one quantum window; sampled turns run one whole
+    // sampling period (skip / warm / measure), so the shared-L2
+    // interleave is a pure function of the configuration in both
+    // modes.
+    std::vector<std::uint64_t> remaining(cfg_.cores, insts_per_core);
     bool work_left = true;
     while (work_left) {
         work_left = false;
-        for (auto &lane_ptr : lanes) {
-            CoreLane &lane = *lane_ptr;
-            if (lane.remaining == 0)
+        for (unsigned c = 0; c < cfg_.cores; ++c) {
+            if (remaining[c] == 0)
                 continue;
-
-            std::uint64_t detail;
             if (engine.sampled()) {
-                const SamplingConfig::PeriodShape shape =
-                    engine.sampling.periodShape(lane.remaining);
-                if (shape.fastForward)
-                    lane.workload.skip(shape.fastForward);
-                if (shape.warmup) {
-                    lane.func->invalidateFetchBlock();
-                    lane.func->run(lane.workload, shape.warmup);
-                }
-                lane.fastForwarded += shape.fastForward;
-                lane.warmed += shape.warmup;
-                lane.remaining -=
-                    shape.fastForward + shape.warmup + shape.detailed;
-                detail = shape.detailed;
+                remaining[c] -= lanes[c]->period(
+                    *streams[c], engine.sampling, remaining[c]);
             } else {
-                detail = std::min<std::uint64_t>(cfg_.quantumInsts,
-                                                 lane.remaining);
-                lane.remaining -= detail;
+                const std::uint64_t quantum =
+                    std::min(cfg_.quantumInsts, remaining[c]);
+                lanes[c]->measure(*streams[c], quantum);
+                remaining[c] -= quantum;
             }
-            lane.measured += detail;
-            work_left = work_left || lane.remaining != 0;
-
-            // A fresh timing window per turn, exactly like the
-            // sampling engine's detailed windows: cycle 0, empty
-            // structural pools, byte-cycle integrals re-anchored;
-            // warm cache/predictor/controller state carries over.
-            lane.core->resetTiming();
-            lane.il1.cache().restartTimeAccounting();
-            lane.dl1.cache().restartTimeAccounting();
-
-            const CacheActivity il1_pre =
-                CacheActivity::of(lane.il1.cache());
-            const CacheActivity dl1_pre =
-                CacheActivity::of(lane.dl1.cache());
-            const SharedL2CoreStats &l2s =
-                l2_.coreStats(lane.hier.coreId());
-            const std::uint64_t l2a_pre = l2s.accesses;
-            const std::uint64_t l2m_pre = l2s.misses;
-            const std::uint64_t mem_pre =
-                lane.hier.memReads() + lane.hier.memWrites();
-
-            const CoreActivity act =
-                lane.core->run(lane.workload, detail);
-            lane.il1.cache().accumulateEnabledTime(act.cycles);
-            lane.dl1.cache().accumulateEnabledTime(act.cycles);
-
-            lane.il1Act +=
-                CacheActivity::of(lane.il1.cache()) - il1_pre;
-            lane.dl1Act +=
-                CacheActivity::of(lane.dl1.cache()) - dl1_pre;
-            lane.l2Accesses +=
-                static_cast<double>(l2s.accesses - l2a_pre);
-            lane.l2Misses +=
-                static_cast<double>(l2s.misses - l2m_pre);
-            lane.memAccesses += static_cast<double>(
-                lane.hier.memReads() + lane.hier.memWrites() -
-                mem_pre);
-            lane.cycles += act.cycles;
-            accumulate(lane.activity, act);
+            work_left = work_left || remaining[c] != 0;
         }
     }
 
-    // ---- per-core results
+    // ---- per-core results, core order (timeline rows too)
     MultiCoreResult out;
-    out.perCore.reserve(lanes.size());
-    const ProcessorEnergyModel energy(cfg_.energy);
-    for (auto &lane_ptr : lanes) {
-        CoreLane &lane = *lane_ptr;
-        RunResult r;
-        r.workload = lane.workload.name();
-        r.engine = engine.mode;
-        r.measuredInsts = lane.measured;
-        r.warmupInsts = lane.warmed;
-
-        // Extrapolate sampled lanes to the full per-core stream; a
-        // full-detail lane's scale is exactly 1.
-        rc_assert(lane.measured > 0);
-        const double scale = static_cast<double>(insts_per_core) /
-                             static_cast<double>(lane.measured);
-        r.activity.outOfOrder = lane.activity.outOfOrder;
-        r.activity.insts = insts_per_core;
-        r.activity.cycles = scaleCount(lane.cycles, scale);
-        r.activity.intOps = scaleCount(lane.activity.intOps, scale);
-        r.activity.fpOps = scaleCount(lane.activity.fpOps, scale);
-        r.activity.loads = scaleCount(lane.activity.loads, scale);
-        r.activity.stores = scaleCount(lane.activity.stores, scale);
-        r.activity.branches =
-            scaleCount(lane.activity.branches, scale);
-        r.activity.mispredicts =
-            scaleCount(lane.activity.mispredicts, scale);
-        r.insts = r.activity.insts;
-        r.cycles = r.activity.cycles;
-
-        // Energy is priced from the core's attributed activity: its
-        // private L1 events plus its share of the shared L2/memory
-        // traffic; the shared L2's size-proportional term is charged
-        // over this core's cycles (see the header's convention).
-        r.energy = energy.compute(
-            r.activity, lane.il1Act.scaled(scale),
-            lane.il1.extraTagBits(), lane.dl1Act.scaled(scale),
-            lane.dl1.extraTagBits(), lane.l2Accesses * scale,
-            l2_.cache().geometry().size, lane.memAccesses * scale);
-
-        const double cyc = static_cast<double>(lane.cycles);
-        r.avgIl1Bytes = cyc > 0 ? lane.il1Act.byteCycles / cyc : 0;
-        r.avgDl1Bytes = cyc > 0 ? lane.dl1Act.byteCycles / cyc : 0;
-        r.il1MissRatio = lane.il1Act.missRatio();
-        r.dl1MissRatio = lane.dl1Act.missRatio();
-        r.il1Accesses = scaleCount(
-            static_cast<std::uint64_t>(lane.il1Act.accesses), scale);
-        r.il1Misses = scaleCount(
-            static_cast<std::uint64_t>(lane.il1Act.misses), scale);
-        r.dl1Accesses = scaleCount(
-            static_cast<std::uint64_t>(lane.dl1Act.accesses), scale);
-        r.dl1Misses = scaleCount(
-            static_cast<std::uint64_t>(lane.dl1Act.misses), scale);
-        r.l2MissRatio = lane.l2Accesses > 0
-                            ? lane.l2Misses / lane.l2Accesses
-                            : 0;
-        r.il1Resizes = lane.il1.cache().resizes();
-        r.dl1Resizes = lane.dl1.cache().resizes();
-        if (auto *dyn = dynamic_cast<DynamicMissRatioController *>(
-                lane.il1Policy.get()))
-            r.il1LevelTrace = dyn->levelTrace();
-        if (auto *dyn = dynamic_cast<DynamicMissRatioController *>(
-                lane.dl1Policy.get()))
-            r.dl1LevelTrace = dyn->levelTrace();
-        out.perCore.push_back(std::move(r));
-    }
+    out.perCore.reserve(cfg_.cores);
+    for (unsigned c = 0; c < cfg_.cores; ++c)
+        out.perCore.push_back(
+            lanes[c]->result(streams[c]->name(), insts_per_core));
 
     // ---- shared-L2 attribution
     out.l2PerCore.reserve(cfg_.cores);
@@ -399,7 +144,6 @@ MultiCoreSystem::run(const std::vector<BenchmarkProfile> &mix,
         agg.workload = std::move(name);
     }
     agg.engine = engine.mode;
-    double total_l2_accesses = 0;
     for (const RunResult &r : out.perCore) {
         agg.insts += r.insts;
         agg.il1Accesses += r.il1Accesses;
@@ -407,9 +151,7 @@ MultiCoreSystem::run(const std::vector<BenchmarkProfile> &mix,
         agg.dl1Accesses += r.dl1Accesses;
         agg.dl1Misses += r.dl1Misses;
         agg.cycles = std::max(agg.cycles, r.cycles);
-        accumulate(agg.activity, r.activity);
-        agg.activity.cycles =
-            std::max(agg.activity.cycles, r.activity.cycles);
+        agg.activity += r.activity;
         agg.energy.icache += r.energy.icache;
         agg.energy.dcache += r.energy.dcache;
         agg.energy.memory += r.energy.memory;
@@ -423,42 +165,34 @@ MultiCoreSystem::run(const std::vector<BenchmarkProfile> &mix,
         agg.warmupInsts += r.warmupInsts;
     }
     agg.activity.insts = agg.insts;
+    agg.activity.cycles = agg.cycles;
     // The shared L2 is one physical structure: charge its switching
     // for the total attributed traffic and its size-proportional term
-    // once, over the makespan.
-    for (unsigned c = 0; c < cfg_.cores; ++c) {
-        const double scale =
-            static_cast<double>(insts_per_core) /
-            static_cast<double>(lanes[c]->measured);
-        total_l2_accesses += lanes[c]->l2Accesses * scale;
+    // once, over the makespan. L1 miss ratios weigh every measured
+    // access alike.
+    double total_l2_accesses = 0;
+    double l1i_m = 0, l1i_a = 0, l1d_m = 0, l1d_a = 0;
+    for (const auto &lane : lanes) {
+        const System::Measured &m = lane->measured();
+        const double scale = static_cast<double>(insts_per_core) /
+                             static_cast<double>(m.activity.insts);
+        total_l2_accesses += m.l2Accesses * scale;
+        l1i_m += m.il1.misses;
+        l1i_a += m.il1.accesses;
+        l1d_m += m.dl1.misses;
+        l1d_a += m.dl1.accesses;
     }
     const CacheEnergyModel cache_energy(cfg_.energy);
     agg.energy.l2 = cache_energy.l2Energy(
         total_l2_accesses, l2_.cache().geometry().size,
         static_cast<double>(agg.cycles));
-    {
-        double l1i_m = 0, l1i_a = 0, l1d_m = 0, l1d_a = 0;
-        for (auto &lane_ptr : lanes) {
-            l1i_m += lane_ptr->il1Act.misses;
-            l1i_a += lane_ptr->il1Act.accesses;
-            l1d_m += lane_ptr->dl1Act.misses;
-            l1d_a += lane_ptr->dl1Act.accesses;
-        }
-        agg.il1MissRatio = l1i_a > 0 ? l1i_m / l1i_a : 0;
-        agg.dl1MissRatio = l1d_a > 0 ? l1d_m / l1d_a : 0;
-    }
+    agg.il1MissRatio = l1i_a > 0 ? l1i_m / l1i_a : 0;
+    agg.dl1MissRatio = l1d_a > 0 ? l1d_m / l1d_a : 0;
     agg.l2MissRatio =
         out.l2Totals.accesses > 0
             ? static_cast<double>(out.l2Totals.misses) /
                   static_cast<double>(out.l2Totals.accesses)
             : 0;
-
-    // ---- harvest timelines, core order
-    for (auto &rec : recorders) {
-        auto rows = rec->takeRows();
-        telemetry->timeline.insert(telemetry->timeline.end(),
-                                   rows.begin(), rows.end());
-    }
     return out;
 }
 

@@ -1,38 +1,34 @@
 /**
  * @file
- * MultiCoreSystem: N single-core pipelines, N private (possibly
- * resizable) L1 hierarchies, one shared L2 — the multi-programmed
- * workload-mix system.
+ * MultiCoreSystem: N single-core Systems over one shared L2 — the
+ * multi-programmed workload-mix system.
  *
- * Each core runs its own workload in a private address space (a
- * per-core offset in the high address bits keeps the streams disjoint
- * — multi-programmed, no sharing, no coherence), with private L1s and
- * independent resize controllers, while all L2 traffic funnels into
- * one SharedL2 (cache/shared_l2.hh) that attributes hits, misses,
- * memory traffic, and capacity occupancy per core. Contention is
- * therefore modelled at the capacity/conflict level: core A's misses
- * evict core B's L2 blocks. L2 bandwidth and MSHR contention between
- * cores are not modelled (each core keeps its private timing pools),
- * matching the single-core model's purely functional L2.
+ * Each core is a System (sim/system.hh) built with the shared-L2
+ * constructor: the same private (possibly resizable) L1s, resize
+ * controllers, timing core and result extrapolation as a single-core
+ * run, with its L2 traffic routed into one SharedL2
+ * (cache/shared_l2.hh) that attributes hits, misses, memory traffic,
+ * and capacity occupancy per core. Each core runs its own workload in
+ * a private address space (a per-core offset in the high address bits
+ * keeps the streams disjoint — multi-programmed, no sharing, no
+ * coherence). Contention is therefore modelled at the
+ * capacity/conflict level: core A's misses evict core B's L2 blocks.
+ * L2 bandwidth and MSHR contention between cores are not modelled
+ * (each core keeps its private timing pools), matching the
+ * single-core model's purely functional L2.
  *
  * Determinism contract: cores advance in a fixed round-robin
- * interleave — core 0 runs a quantum of cfg.quantumInsts
- * instructions, then core 1, ... until every core has retired its
- * share — so the shared-L2 access order, and with it every counter
- * and energy figure, is a pure function of the configuration and the
- * workload mix. Results are bit-reproducible across runs, --jobs
- * values, shards, and resume points, exactly like single-core runs.
- * Each quantum restarts the core's timing machinery the way the
- * sampling engine restarts detailed windows (warm cache/predictor/
- * controller state carries across quanta; pipeline state does not),
- * so a core's cycle count is the sum of its quantum cycles.
- *
- * Sampled runs (EngineMode::Sampled) interleave at period
- * granularity instead: each round-robin turn executes one full
- * fast-forward/warmup/detailed period of that core's stream, and the
- * per-core measurements extrapolate per core (each core has its own
- * measured-instruction denominator), reusing the exact period shape
- * of the single-core sampling engine.
+ * interleave — core 0 takes a turn, then core 1, ... until every core
+ * has retired its share — so the shared-L2 access order, and with it
+ * every counter and energy figure, is a pure function of the
+ * configuration and the workload mix. Results are bit-reproducible
+ * across runs, --jobs values, shards, and resume points, exactly like
+ * single-core runs. A full-detail turn is one measured window of
+ * cfg.quantumInsts instructions (warm cache/predictor/controller
+ * state carries across quanta; pipeline state does not), so a core's
+ * cycle count is the sum of its quantum cycles. A sampled turn is one
+ * whole fast-forward/warmup/detailed period of that core's stream,
+ * and each core extrapolates over its own measured instructions.
  *
  * Whole-system metrics in the aggregate result follow the
  * multi-programmed convention: instructions and energy sum over
@@ -46,7 +42,6 @@
 #ifndef RCACHE_SIM_MULTI_CORE_SYSTEM_HH
 #define RCACHE_SIM_MULTI_CORE_SYSTEM_HH
 
-#include <memory>
 #include <vector>
 
 #include "cache/shared_l2.hh"
@@ -85,8 +80,8 @@ struct MultiCoreResult
 class MultiCoreSystem
 {
   public:
-    /** @param cfg requires cfg.cores >= 2 (single-core runs keep the
-     *         exact semantics of System; see executeRunJob). */
+    /** @param cfg requires cfg.cores >= 2 (single-core jobs run a
+     *         System directly; see executeRunJob). */
     explicit MultiCoreSystem(const SystemConfig &cfg);
 
     /**

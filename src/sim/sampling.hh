@@ -11,9 +11,11 @@
  * Fast-forward advances only the *workload position* (Workload::skip,
  * O(1) for the synthetic generators) — nothing is simulated, which is
  * where the order-of-magnitude speedup comes from. Warmup runs on the
- * FunctionalCore: caches (tags, LRU, dirty bits), the branch
- * predictor, and the resize controllers' interval/miss counters
- * advance with no timing, rebuilding the state the skip left stale.
+ * FunctionalCore: caches (tags, replacement state, dirty bits), the
+ * branch predictor, and the resize controllers' interval/miss
+ * counters advance with no timing, rebuilding the state the skip left
+ * stale. System::period (sim/system.hh) runs one period; single-core
+ * runs loop it, and multi-core runs take one period per core turn.
  * The detailed window is measured on the timing core: cycles,
  * instruction mix, and per-cache counter deltas accumulate across all
  * windows and are extrapolated (scaled by total/measured
@@ -33,18 +35,15 @@
 #ifndef RCACHE_SIM_SAMPLING_HH
 #define RCACHE_SIM_SAMPLING_HH
 
-#include "core/resizable_cache.hh"
-#include "cpu/core.hh"
-#include "energy/cache_energy.hh"
+#include <cstdint>
 
 namespace rcache
 {
 
 /**
  * Shape of one sampling period. Pure shape: whether a run samples at
- * all is the engine's call (EngineSpec in sim/engine.hh, which
- * replaced the old SampleMode enum) — this struct only says how the
- * periods carve up once it does.
+ * all is the engine's call (EngineSpec in sim/engine.hh) — this
+ * struct only says how the periods carve up once it does.
  */
 struct SamplingConfig
 {
@@ -85,10 +84,7 @@ struct SamplingConfig
      * How one period carves up when @p remaining instructions are
      * left: full periods use the configured split; a short tail keeps
      * the measurement window at the expense of fast-forward so every
-     * period ends measured. Shared by SamplingController and the
-     * multi-core system's per-core sampled loop so the two cannot
-     * drift (a drift would break the 1-core-vs-single-core accuracy
-     * relationship).
+     * period ends measured.
      */
     struct PeriodShape
     {
@@ -101,8 +97,8 @@ struct SamplingConfig
     /**
      * Timing-core instructions a sampled run of @p total
      * instructions measures — the sum of every period's detailed
-     * window, walked with periodShape so it equals the controller's
-     * SampledStats::measuredInsts exactly. Pure plan-time
+     * window, walked with periodShape so it equals a sampled run's
+     * RunResult::measuredInsts exactly. Pure plan-time
      * arithmetic; the adaptive search and benches use it to account
      * detailed-simulation cost without running anything.
      */
@@ -126,72 +122,6 @@ struct SamplingConfig
         return interval / 5;
     }
     /// @}
-};
-
-/** Everything a sampled run measures or extrapolates. */
-struct SampledStats
-{
-    /** Extrapolated to the full run (cycles, mix, mispredicts). */
-    CoreActivity activity;
-    /** Extrapolated per-cache event totals. */
-    CacheActivity il1, dl1;
-    double l2Accesses = 0;
-    double memAccesses = 0;
-
-    /** Ratios measured in the detailed windows (scale-free). */
-    double il1MissRatio = 0;
-    double dl1MissRatio = 0;
-    double l2MissRatio = 0;
-    double avgIl1Bytes = 0;
-    double avgDl1Bytes = 0;
-
-    /** @name Coverage accounting */
-    /// @{
-    /** Timing-core (measured) instructions. */
-    std::uint64_t measuredInsts = 0;
-    /** FunctionalCore (warming) instructions. */
-    std::uint64_t warmupInsts = 0;
-    /** Skipped instructions (never simulated). */
-    std::uint64_t fastForwardInsts = 0;
-    std::uint64_t windows = 0;
-    /// @}
-};
-
-/**
- * Orchestrates one sampled run over a System's parts. Single-use,
- * like the System that owns the parts.
- */
-class SamplingController
-{
-  public:
-    SamplingController(const SamplingConfig &cfg, Hierarchy &hier,
-                       ResizableCache &il1, ResizableCache &dl1,
-                       ResizePolicy *il1_policy,
-                       ResizePolicy *dl1_policy);
-
-    /**
-     * Run @p num_insts instructions of @p workload, alternating
-     * fast-forward and detailed windows on @p core.
-     */
-    SampledStats run(Core &core, Workload &workload,
-                     std::uint64_t num_insts);
-
-    /**
-     * Attach a telemetry probe: the detailed windows sample through
-     * the timing core (the caller attaches it there) and warmup
-     * spans sample through the FunctionalCore this controller builds,
-     * which is what this hook threads it into.
-     */
-    void setProbe(CoreProbe *probe) { probe_ = probe; }
-
-  private:
-    SamplingConfig cfg_;
-    CoreProbe *probe_ = nullptr;
-    Hierarchy &hier_;
-    ResizableCache &il1_;
-    ResizableCache &dl1_;
-    ResizePolicy *il1Policy_;
-    ResizePolicy *dl1Policy_;
 };
 
 } // namespace rcache

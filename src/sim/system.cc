@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "cpu/functional_core.hh"
 #include "cpu/inorder_core.hh"
 #include "cpu/ooo_core.hh"
 #include "telemetry/run_telemetry.hh"
@@ -24,6 +25,7 @@ coreModelName(CoreModel m)
 
 System::System(const SystemConfig &cfg)
     : cfg_(cfg),
+      model_(cfg.coreModel),
       il1_("il1", cfg.il1, cfg.il1Org, cfg.policy),
       dl1_("dl1", cfg.dl1, cfg.dl1Org, cfg.policy),
       hier_(&il1_.cache(), &dl1_.cache(), cfg.l2, cfg.lat)
@@ -31,6 +33,16 @@ System::System(const SystemConfig &cfg)
     // Multi-core configs go through MultiCoreSystem; accepting one
     // here would silently simulate only core 0.
     rc_assert(cfg.cores == 1);
+}
+
+System::System(const SystemConfig &cfg, SharedL2 &shared_l2,
+               unsigned core_id)
+    : cfg_(cfg),
+      model_(cfg.modelOfCore(core_id)),
+      il1_("il1", cfg.il1, cfg.il1Org, cfg.policy, core_id),
+      dl1_("dl1", cfg.dl1, cfg.dl1Org, cfg.policy, core_id),
+      hier_(&il1_.cache(), &dl1_.cache(), shared_l2, core_id, cfg.lat)
+{
 }
 
 System::~System() = default;
@@ -63,17 +75,18 @@ System::makePolicy(ResizableCache &cache, const ResizeSetup &setup)
 }
 
 void
-System::wire(const ResizeSetup &il1_setup, const ResizeSetup &dl1_setup,
-             RunTelemetry *telemetry)
+System::open(const ResizeSetup &il1_setup, const ResizeSetup &dl1_setup,
+             EngineMode mode, RunTelemetry *telemetry)
 {
     rc_assert(!ran_);
     ran_ = true;
+    mode_ = mode;
     telemetry_ = telemetry;
     il1Policy_ = makePolicy(il1_, il1_setup);
     dl1Policy_ = makePolicy(dl1_, dl1_setup);
 
     if (telemetry && telemetry->resizeEvents) {
-        const ResizeTelemetry sink{&telemetry->events, 0,
+        const ResizeTelemetry sink{&telemetry->events, hier_.coreId(),
                                    cfg_.core.wbDrainLatency};
         if (auto *dyn = dynamic_cast<DynamicMissRatioController *>(
                 il1Policy_.get()))
@@ -83,7 +96,7 @@ System::wire(const ResizeSetup &il1_setup, const ResizeSetup &dl1_setup,
             dyn->setTelemetry(sink);
     }
 
-    if (cfg_.coreModel == CoreModel::OutOfOrder) {
+    if (model_ == CoreModel::OutOfOrder) {
         core_ = std::make_unique<OooCore>(cfg_.core, hier_,
                                           il1Policy_.get(),
                                           dl1Policy_.get());
@@ -95,16 +108,14 @@ System::wire(const ResizeSetup &il1_setup, const ResizeSetup &dl1_setup,
 
     if (telemetry && telemetry->wantsTimeline()) {
         TimelineSources src;
-        src.core = 0;
+        src.core = hier_.coreId();
         src.il1 = &il1_.cache();
         src.dl1 = &dl1_.cache();
         src.il1ExtraTagBits = il1_.extraTagBits();
         src.dl1ExtraTagBits = dl1_.extraTagBits();
-        src.l2Accesses = [this] { return hier_.l2().accesses(); };
-        src.l2Misses = [this] { return hier_.l2().misses(); };
-        src.memAccesses = [this] {
-            return hier_.memReads() + hier_.memWrites();
-        };
+        src.l2Accesses = [this] { return hier_.l2Accesses(); };
+        src.l2Misses = [this] { return hier_.l2Misses(); };
+        src.memAccesses = [this] { return hier_.memAccesses(); };
         src.l2SizeBytes = hier_.l2().geometry().size;
         src.timingCore = core_.get();
         src.energy = &cfg_.energy;
@@ -124,106 +135,171 @@ System::run(Workload &workload, std::uint64_t num_insts,
         rc_fatal("the analytic engine does not run Systems; dispatch "
                  "through executeRunJob");
 
-    if (!engine.sampled()) {
-        start(num_insts, il1_setup, dl1_setup, telemetry);
-        forEachBatch(workload, num_insts,
-                     [this](const MicroInst *insts, std::size_t n) {
-                         feed(insts, n);
-                     });
-        return finish(workload.name());
+    open(il1_setup, dl1_setup, engine.mode, telemetry);
+    if (engine.sampled()) {
+        for (std::uint64_t left = num_insts; left > 0;)
+            left -= period(workload, engine.sampling, left);
+    } else {
+        measure(workload, num_insts);
     }
-
-    wire(il1_setup, dl1_setup, telemetry);
-    SamplingController sampler(engine.sampling, hier_, il1_, dl1_,
-                               il1Policy_.get(), dl1Policy_.get());
-    if (recorder_)
-        sampler.setProbe(recorder_.get());
-    const SampledStats s = sampler.run(*core_, workload, num_insts);
-
-    RunResult res;
-    res.workload = workload.name();
-    res.engine = EngineMode::Sampled;
-    res.measuredInsts = s.measuredInsts;
-    res.warmupInsts = s.warmupInsts;
-    res.activity = s.activity;
-    res.insts = s.activity.insts;
-    res.cycles = s.activity.cycles;
-    res.energy = ProcessorEnergyModel(cfg_.energy)
-                     .compute(s.activity, s.il1, il1_.extraTagBits(),
-                              s.dl1, dl1_.extraTagBits(),
-                              s.l2Accesses,
-                              hier_.l2().geometry().size,
-                              s.memAccesses);
-    res.avgIl1Bytes = s.avgIl1Bytes;
-    res.avgDl1Bytes = s.avgDl1Bytes;
-    res.il1MissRatio = s.il1MissRatio;
-    res.dl1MissRatio = s.dl1MissRatio;
-    res.l2MissRatio = s.l2MissRatio;
-    res.il1Accesses =
-        static_cast<std::uint64_t>(std::llround(s.il1.accesses));
-    res.il1Misses =
-        static_cast<std::uint64_t>(std::llround(s.il1.misses));
-    res.dl1Accesses =
-        static_cast<std::uint64_t>(std::llround(s.dl1.accesses));
-    res.dl1Misses =
-        static_cast<std::uint64_t>(std::llround(s.dl1.misses));
-    return collect(std::move(res));
+    return result(workload.name(), num_insts);
 }
 
 void
 System::start(std::uint64_t num_insts, const ResizeSetup &il1_setup,
               const ResizeSetup &dl1_setup, RunTelemetry *telemetry)
 {
-    wire(il1_setup, dl1_setup, telemetry);
+    open(il1_setup, dl1_setup, EngineMode::Full, telemetry);
+    beginWindow();
     core_->begin(num_insts);
 }
 
 RunResult
 System::finish(const std::string &workload)
 {
-    RunResult res;
-    res.workload = workload;
-    res.activity = core_->finish();
-    res.insts = res.activity.insts;
-    res.cycles = res.activity.cycles;
-    res.measuredInsts = res.insts;
+    endWindow(core_->finish());
+    return result(workload, measured_.activity.insts);
+}
 
-    // Close the enabled-size integrals over the whole run.
-    il1_.cache().accumulateEnabledTime(res.cycles);
-    dl1_.cache().accumulateEnabledTime(res.cycles);
+System::Counters
+System::counters() const
+{
+    return {CacheActivity::of(il1_.cache()),
+            CacheActivity::of(dl1_.cache()), hier_.l2Accesses(),
+            hier_.l2Misses(), hier_.memAccesses()};
+}
 
-    res.energy = ProcessorEnergyModel(cfg_.energy)
-                     .compute(res.activity, il1_.cache(),
-                              il1_.extraTagBits(), dl1_.cache(),
-                              dl1_.extraTagBits(), hier_.l2(),
-                              hier_.memReads() + hier_.memWrites());
+void
+System::beginWindow()
+{
+    core_->resetTiming();
+    il1_.cache().restartTimeAccounting();
+    dl1_.cache().restartTimeAccounting();
+    windowStart_ = counters();
+}
 
-    res.avgIl1Bytes = il1_.cache().byteCycles() / res.cycles;
-    res.avgDl1Bytes = dl1_.cache().byteCycles() / res.cycles;
-    res.il1MissRatio = il1_.cache().missRatio();
-    res.dl1MissRatio = dl1_.cache().missRatio();
-    res.l2MissRatio = hier_.l2().missRatio();
-    res.il1Accesses = il1_.cache().accesses();
-    res.il1Misses = il1_.cache().misses();
-    res.dl1Accesses = dl1_.cache().accesses();
-    res.dl1Misses = dl1_.cache().misses();
-    return collect(std::move(res));
+void
+System::endWindow(const CoreActivity &act)
+{
+    il1_.cache().accumulateEnabledTime(act.cycles);
+    dl1_.cache().accumulateEnabledTime(act.cycles);
+
+    const Counters now = counters();
+    measured_.activity += act;
+    measured_.il1 += now.il1 - windowStart_.il1;
+    measured_.dl1 += now.dl1 - windowStart_.dl1;
+    measured_.l2Accesses +=
+        static_cast<double>(now.l2Accesses - windowStart_.l2Accesses);
+    measured_.l2Misses +=
+        static_cast<double>(now.l2Misses - windowStart_.l2Misses);
+    measured_.memAccesses +=
+        static_cast<double>(now.memAccesses - windowStart_.memAccesses);
+}
+
+void
+System::measure(Workload &workload, std::uint64_t n)
+{
+    beginWindow();
+    endWindow(core_->run(workload, n));
+}
+
+void
+System::warm(Workload &workload, std::uint64_t n)
+{
+    if (!func_) {
+        func_ = std::make_unique<FunctionalCore>(
+            hier_, core_->predictor(), cfg_.core.fetchWidth,
+            il1Policy_.get(), dl1Policy_.get());
+        func_->setProbe(recorder_.get());
+    }
+    // A measured window may have moved the stream since the last
+    // warm span.
+    func_->invalidateFetchBlock();
+    func_->run(workload, n);
+    measured_.warmupInsts += n;
+}
+
+std::uint64_t
+System::period(Workload &workload, const SamplingConfig &sampling,
+               std::uint64_t remaining)
+{
+    const SamplingConfig::PeriodShape shape =
+        sampling.periodShape(remaining);
+    // Fast-forward: workload position only; nothing simulated.
+    if (shape.fastForward)
+        workload.skip(shape.fastForward);
+    // Warmup: rebuild the cache/predictor/controller state that went
+    // stale across the skip.
+    if (shape.warmup)
+        warm(workload, shape.warmup);
+    measure(workload, shape.detailed);
+    return shape.fastForward + shape.warmup + shape.detailed;
 }
 
 RunResult
-System::collect(RunResult res)
+System::result(const std::string &workload, std::uint64_t insts)
 {
+    // Extrapolate the measured windows to the whole run (scale 1 for
+    // full detail). Counts are rounded once at the end, never per
+    // window, so the estimate is independent of the window count for
+    // a fixed measured fraction.
+    const Measured &m = measured_;
+    rc_assert(m.activity.insts > 0);
+    const double scale = static_cast<double>(insts) /
+                         static_cast<double>(m.activity.insts);
+    const auto scaleCount = [scale](double v) {
+        return static_cast<std::uint64_t>(std::llround(v * scale));
+    };
+
+    RunResult res;
+    res.workload = workload;
+    res.engine = mode_;
+    res.measuredInsts = m.activity.insts;
+    res.warmupInsts = m.warmupInsts;
+
+    CoreActivity &a = res.activity;
+    a.outOfOrder = m.activity.outOfOrder;
+    a.insts = insts;
+    a.cycles = scaleCount(m.activity.cycles);
+    a.intOps = scaleCount(m.activity.intOps);
+    a.fpOps = scaleCount(m.activity.fpOps);
+    a.loads = scaleCount(m.activity.loads);
+    a.stores = scaleCount(m.activity.stores);
+    a.branches = scaleCount(m.activity.branches);
+    a.mispredicts = scaleCount(m.activity.mispredicts);
+    res.insts = a.insts;
+    res.cycles = a.cycles;
+
+    // The L2 and memory terms price this core's attributed traffic;
+    // the L2's size-proportional term is charged over this core's
+    // cycles.
+    res.energy = ProcessorEnergyModel(cfg_.energy)
+                     .compute(a, m.il1.scaled(scale),
+                              il1_.extraTagBits(), m.dl1.scaled(scale),
+                              dl1_.extraTagBits(), m.l2Accesses * scale,
+                              hier_.l2().geometry().size,
+                              m.memAccesses * scale);
+
+    const double cyc = static_cast<double>(m.activity.cycles);
+    res.avgIl1Bytes = cyc > 0 ? m.il1.byteCycles / cyc : 0.0;
+    res.avgDl1Bytes = cyc > 0 ? m.dl1.byteCycles / cyc : 0.0;
+    res.il1MissRatio = m.il1.missRatio();
+    res.dl1MissRatio = m.dl1.missRatio();
+    res.l2MissRatio =
+        m.l2Accesses > 0 ? m.l2Misses / m.l2Accesses : 0.0;
+    res.il1Accesses = scaleCount(m.il1.accesses);
+    res.il1Misses = scaleCount(m.il1.misses);
+    res.dl1Accesses = scaleCount(m.dl1.accesses);
+    res.dl1Misses = scaleCount(m.dl1.misses);
+
     res.il1Resizes = il1_.cache().resizes();
     res.dl1Resizes = dl1_.cache().resizes();
-
     if (auto *dyn = dynamic_cast<DynamicMissRatioController *>(
-            il1Policy_.get())) {
+            il1Policy_.get()))
         res.il1LevelTrace = dyn->levelTrace();
-    }
     if (auto *dyn = dynamic_cast<DynamicMissRatioController *>(
-            dl1Policy_.get())) {
+            dl1Policy_.get()))
         res.dl1LevelTrace = dyn->levelTrace();
-    }
 
     if (recorder_) {
         auto rows = recorder_->takeRows();

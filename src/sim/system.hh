@@ -1,12 +1,22 @@
 /**
  * @file
- * System: one simulated processor+memory configuration, run once.
+ * System: one simulated core with its own L1s, resize policies and
+ * energy model, run once.
  *
  * A System wires a core model, the two (possibly resizable) L1s, the
  * L2, the resizing policies, and the energy model. It is single-use:
  * construct, run once, read the result. The experiment driver
  * (sim/experiment.hh) constructs one System per design point, which is
  * how the paper's profiling methodology works anyway.
+ *
+ * It is also the lane a multi-core system is built from
+ * (sim/multi_core_system.hh): the shared-L2 constructor makes it one
+ * core of N over a SharedL2, and the stepped interface (open(),
+ * measure(), period(), result()) lets the caller interleave the lanes'
+ * turns. Every engine runs through the same steps: a full-detail run
+ * is one measured window, a sampled run a sequence of sampling
+ * periods, and result() extrapolates the measured windows the same
+ * way for both (full detail is the scale-1 case).
  *
  * A full-detail run is either pulled from a Workload (run()) or pushed
  * instruction windows by the caller (start() / feed() / finish()), the
@@ -33,6 +43,7 @@
 namespace rcache
 {
 
+class FunctionalCore;
 struct RunTelemetry;
 class TimelineRecorder;
 
@@ -171,7 +182,18 @@ struct RunResult
 class System
 {
   public:
+    /** A single-core system owning its L2 (requires cfg.cores == 1). */
     explicit System(const SystemConfig &cfg);
+
+    /**
+     * Core @p core_id of a multi-core system: private L1s seeded by
+     * the core id, L2 traffic routed to @p shared_l2 (owned by the
+     * caller, must outlive this) and attributed to @p core_id, timing
+     * model cfg.modelOfCore(core_id). Over a one-core SharedL2 it
+     * returns exactly what the owned-L2 form returns.
+     */
+    System(const SystemConfig &cfg, SharedL2 &shared_l2,
+           unsigned core_id);
     ~System();
 
     /**
@@ -211,6 +233,52 @@ class System
     RunResult finish(const std::string &workload);
     /// @}
 
+    /** @name Stepped run
+     * The steps run() is made of, for a caller that interleaves
+     * several Systems over one shared L2. open() wires the run; any
+     * sequence of measure(), warm() and period() calls then advances
+     * it, each taking the next instructions of the stream; result()
+     * extrapolates the measured windows to a run of @p insts
+     * instructions labelled @p mode by open(). Single use.
+     */
+    /// @{
+    void open(const ResizeSetup &il1_setup, const ResizeSetup &dl1_setup,
+              EngineMode mode, RunTelemetry *telemetry);
+    /**
+     * Time @p n instructions in a fresh measurement window: cycle 0,
+     * empty structural pools, byte-cycle integrals re-anchored; warm
+     * cache, predictor and controller state carries over.
+     */
+    void measure(Workload &workload, std::uint64_t n);
+    /** Advance caches, predictor and resize controllers over @p n
+     *  instructions with no timing (cpu/functional_core.hh). */
+    void warm(Workload &workload, std::uint64_t n);
+    /**
+     * One sampling period of a run with @p remaining instructions
+     * left, shaped by @p sampling: fast-forward, warm, then measure.
+     * @return the instructions the period consumed.
+     */
+    std::uint64_t period(Workload &workload,
+                         const SamplingConfig &sampling,
+                         std::uint64_t remaining);
+    RunResult result(const std::string &workload, std::uint64_t insts);
+    /// @}
+
+    /** What the measured windows add up to so far, unscaled. */
+    struct Measured
+    {
+        /** Summed over windows: insts are the measured instructions,
+         *  cycles the sum of the windows' cycles. */
+        CoreActivity activity;
+        CacheActivity il1, dl1;
+        double l2Accesses = 0;
+        double l2Misses = 0;
+        double memAccesses = 0;
+        /** FunctionalCore instructions (not measured). */
+        std::uint64_t warmupInsts = 0;
+    };
+    const Measured &measured() const { return measured_; }
+
     ResizableCache &il1() { return il1_; }
     ResizableCache &dl1() { return dl1_; }
     Hierarchy &hierarchy() { return hier_; }
@@ -220,27 +288,42 @@ class System
     void dumpStats(std::ostream &os) const;
 
   private:
+    /** The counters a measured window takes deltas of. */
+    struct Counters
+    {
+        CacheActivity il1, dl1;
+        std::uint64_t l2Accesses = 0;
+        std::uint64_t l2Misses = 0;
+        std::uint64_t memAccesses = 0;
+    };
+    Counters counters() const;
+
     std::unique_ptr<ResizePolicy> makePolicy(ResizableCache &cache,
                                              const ResizeSetup &setup);
-    /** Build the run's policies, core and timeline recorder. */
-    void wire(const ResizeSetup &il1_setup,
-              const ResizeSetup &dl1_setup, RunTelemetry *telemetry);
-    /** Fill in what every engine reports the same way (resize counts,
-     *  level traces, timeline rows). */
-    RunResult collect(RunResult res);
+    /** Open a measurement window (before the core's begin()). */
+    void beginWindow();
+    /** Close the window the core timed as @p act. */
+    void endWindow(const CoreActivity &act);
 
     SystemConfig cfg_;
+    CoreModel model_;
     ResizableCache il1_;
     ResizableCache dl1_;
     Hierarchy hier_;
     bool ran_ = false;
 
-    /** Per-run wiring, built by wire(). */
+    /** Per-run wiring, built by open(). */
+    EngineMode mode_ = EngineMode::Full;
     std::unique_ptr<ResizePolicy> il1Policy_;
     std::unique_ptr<ResizePolicy> dl1Policy_;
     std::unique_ptr<Core> core_;
+    /** Built by the first warm(). */
+    std::unique_ptr<FunctionalCore> func_;
     std::unique_ptr<TimelineRecorder> recorder_;
     RunTelemetry *telemetry_ = nullptr;
+
+    Counters windowStart_;
+    Measured measured_;
 };
 
 } // namespace rcache

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/system.hh"
+#include "tests/sim/expect_same_result.hh"
 #include "workload/profiles.hh"
 
 namespace rcache
@@ -102,6 +103,51 @@ TEST(SystemTest, EnergySharesNonTrivial)
     EXPECT_GT(r.energy.l2, 0.0);
     EXPECT_GT(r.energy.core, 0.0);
     EXPECT_GT(r.energy.clock, 0.0);
+}
+
+/**
+ * The multi-core lane is the single-core System: built over a
+ * one-core SharedL2 it must report exactly what the owned-L2 form
+ * reports, whatever the engine, core model, strategy or policy.
+ */
+TEST(SystemTest, OneCoreSharedL2LaneMatchesOwnedL2)
+{
+    DynamicParams dyn;
+    dyn.intervalAccesses = 1024;
+    dyn.missBound = 32;
+    const std::vector<ResizeSetup> setups = {
+        {},
+        {Strategy::Static, 1, {}},
+        {Strategy::Dynamic, 0, dyn},
+    };
+    const std::vector<EngineSpec> engines = {
+        EngineSpec{},
+        EngineSpec::makeSampled(20000, 2000, 4000),
+    };
+    for (CoreModel model : {CoreModel::OutOfOrder, CoreModel::InOrder}) {
+        for (const char *policy : {"lru", "wtlfu"}) {
+            for (const EngineSpec &engine : engines) {
+                for (const ResizeSetup &setup : setups) {
+                    SystemConfig cfg = SystemConfig::base();
+                    cfg.coreModel = model;
+                    cfg.policy = policy;
+                    cfg.il1Org = Organization::SelectiveWays;
+                    cfg.dl1Org = Organization::SelectiveSets;
+                    SyntheticWorkload w1(profileByName("gcc"));
+                    SyntheticWorkload w2(profileByName("gcc"));
+                    System owned(cfg);
+                    SharedL2 l2(cfg.l2, 1);
+                    System lane(cfg, l2, 0);
+                    expectSame(
+                        owned.run(w1, 70000, setup, setup, engine),
+                        lane.run(w2, 70000, setup, setup, engine),
+                        coreModelName(model) + "/" + policy + "/" +
+                            engineName(engine.mode) + "/" +
+                            strategyName(setup.strategy));
+                }
+            }
+        }
+    }
 }
 
 TEST(SystemTest, CoreModelNames)
