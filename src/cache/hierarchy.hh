@@ -154,9 +154,6 @@ class Hierarchy
     }
     /// @}
 
-    /** Attached shared L2, or null in the owned-L2 (single-core)
-     *  form. */
-    SharedL2 *sharedL2() { return sharedL2_; }
     /** Attribution id presented to the shared L2 (0 when owned). */
     unsigned coreId() const { return coreId_; }
 

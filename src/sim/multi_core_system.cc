@@ -176,7 +176,7 @@ MultiCoreSystem::run(const std::vector<BenchmarkProfile> &mix,
         const System::Measured &m = lane->measured();
         const double scale = static_cast<double>(insts_per_core) /
                              static_cast<double>(m.activity.insts);
-        total_l2_accesses += m.l2Accesses * scale;
+        total_l2_accesses += static_cast<double>(m.l2Accesses) * scale;
         l1i_m += m.il1.misses;
         l1i_a += m.il1.accesses;
         l1d_m += m.dl1.misses;

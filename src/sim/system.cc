@@ -188,12 +188,9 @@ System::endWindow(const CoreActivity &act)
     measured_.activity += act;
     measured_.il1 += now.il1 - windowStart_.il1;
     measured_.dl1 += now.dl1 - windowStart_.dl1;
-    measured_.l2Accesses +=
-        static_cast<double>(now.l2Accesses - windowStart_.l2Accesses);
-    measured_.l2Misses +=
-        static_cast<double>(now.l2Misses - windowStart_.l2Misses);
-    measured_.memAccesses +=
-        static_cast<double>(now.memAccesses - windowStart_.memAccesses);
+    measured_.l2Accesses += now.l2Accesses - windowStart_.l2Accesses;
+    measured_.l2Misses += now.l2Misses - windowStart_.l2Misses;
+    measured_.memAccesses += now.memAccesses - windowStart_.memAccesses;
 }
 
 void
@@ -273,20 +270,22 @@ System::result(const std::string &workload, std::uint64_t insts)
     // The L2 and memory terms price this core's attributed traffic;
     // the L2's size-proportional term is charged over this core's
     // cycles.
+    const auto l2_accesses = static_cast<double>(m.l2Accesses);
     res.energy = ProcessorEnergyModel(cfg_.energy)
                      .compute(a, m.il1.scaled(scale),
                               il1_.extraTagBits(), m.dl1.scaled(scale),
-                              dl1_.extraTagBits(), m.l2Accesses * scale,
+                              dl1_.extraTagBits(), l2_accesses * scale,
                               hier_.l2().geometry().size,
-                              m.memAccesses * scale);
+                              static_cast<double>(m.memAccesses) * scale);
 
     const double cyc = static_cast<double>(m.activity.cycles);
     res.avgIl1Bytes = cyc > 0 ? m.il1.byteCycles / cyc : 0.0;
     res.avgDl1Bytes = cyc > 0 ? m.dl1.byteCycles / cyc : 0.0;
     res.il1MissRatio = m.il1.missRatio();
     res.dl1MissRatio = m.dl1.missRatio();
-    res.l2MissRatio =
-        m.l2Accesses > 0 ? m.l2Misses / m.l2Accesses : 0.0;
+    res.l2MissRatio = m.l2Accesses > 0
+                          ? static_cast<double>(m.l2Misses) / l2_accesses
+                          : 0.0;
     res.il1Accesses = scaleCount(m.il1.accesses);
     res.il1Misses = scaleCount(m.il1.misses);
     res.dl1Accesses = scaleCount(m.dl1.accesses);

@@ -264,16 +264,22 @@ class System
     RunResult result(const std::string &workload, std::uint64_t insts);
     /// @}
 
+    /** Cache, L2 and memory event counts: a snapshot of the live
+     *  counters, or a sum of measured windows' deltas. */
+    struct Counters
+    {
+        CacheActivity il1, dl1;
+        std::uint64_t l2Accesses = 0;
+        std::uint64_t l2Misses = 0;
+        std::uint64_t memAccesses = 0;
+    };
+
     /** What the measured windows add up to so far, unscaled. */
-    struct Measured
+    struct Measured : Counters
     {
         /** Summed over windows: insts are the measured instructions,
          *  cycles the sum of the windows' cycles. */
         CoreActivity activity;
-        CacheActivity il1, dl1;
-        double l2Accesses = 0;
-        double l2Misses = 0;
-        double memAccesses = 0;
         /** FunctionalCore instructions (not measured). */
         std::uint64_t warmupInsts = 0;
     };
@@ -288,14 +294,6 @@ class System
     void dumpStats(std::ostream &os) const;
 
   private:
-    /** The counters a measured window takes deltas of. */
-    struct Counters
-    {
-        CacheActivity il1, dl1;
-        std::uint64_t l2Accesses = 0;
-        std::uint64_t l2Misses = 0;
-        std::uint64_t memAccesses = 0;
-    };
     Counters counters() const;
 
     std::unique_ptr<ResizePolicy> makePolicy(ResizableCache &cache,

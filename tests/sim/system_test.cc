@@ -125,7 +125,7 @@ TEST(SystemTest, OneCoreSharedL2LaneMatchesOwnedL2)
         EngineSpec::makeSampled(20000, 2000, 4000),
     };
     for (CoreModel model : {CoreModel::OutOfOrder, CoreModel::InOrder}) {
-        for (const char *policy : {"lru", "wtlfu"}) {
+        for (const char *policy : {"lru", "random", "wtlfu"}) {
             for (const EngineSpec &engine : engines) {
                 for (const ResizeSetup &setup : setups) {
                     SystemConfig cfg = SystemConfig::base();
