@@ -6,7 +6,8 @@
  * run; default 800000) and RCACHE_APPS (comma-separated subset of
  * profile names) from the environment so the full suite can be scaled
  * to the machine at hand; the engine-aware benches (fig4, fig9)
- * additionally honor RCACHE_SAMPLE (see benchEngine below). The paper ran 2 billion instructions per
+ * additionally honor RCACHE_ENGINE (see benchEngine below). The paper
+ * ran 2 billion instructions per
  * data point on SimpleScalar; the shapes reported in EXPERIMENTS.md
  * are stable from a few hundred thousand instructions up.
  */
@@ -14,9 +15,9 @@
 #ifndef RCACHE_BENCH_COMMON_HH
 #define RCACHE_BENCH_COMMON_HH
 
-#include <cerrno>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -104,50 +105,23 @@ benchJobs()
 }
 
 /**
- * Engine selection from RCACHE_SAMPLE=interval[,detail[,warmup]]
- * (instructions; unset, empty, or a 0 interval = the full-detail
- * engine; detail defaults to interval/10, warmup to interval/5).
- * Sampled bench tables are comparable across RCACHE_JOBS values but
- * NOT against full-detail tables — see the README's Engines section.
+ * Engine selection from RCACHE_ENGINE, in the CLI's --engine grammar
+ * (parseEngineArg: full, sampled[:interval=N,...], analytic; unset
+ * or empty = full detail). Sampled bench tables are comparable across
+ * RCACHE_JOBS values but NOT against full-detail tables — see the
+ * README's Engines section.
  */
 inline EngineSpec
 benchEngine()
 {
-    const char *env = std::getenv("RCACHE_SAMPLE");
+    const char *env = std::getenv("RCACHE_ENGINE");
     if (!env || !*env)
         return {};
-    const std::string text = env;
-    std::uint64_t v[3] = {0, 0, 0};
-    int given = 0;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        char *end = nullptr;
-        errno = 0;
-        const std::uint64_t parsed =
-            std::strtoull(item.c_str(), &end, 10);
-        if (given >= 3 || item.empty() || *end != '\0' ||
-            errno == ERANGE || item[0] == '-') {
-            rc_fatal("RCACHE_SAMPLE wants "
-                     "interval[,detail[,warmup]] in instructions, "
-                     "got '" +
-                     text + "'");
-        }
-        v[given++] = parsed;
-    }
-    const std::uint64_t interval = v[0];
-    if (interval == 0)
-        return {};
-    const std::uint64_t detail =
-        given >= 2 ? v[1] : SamplingConfig::defaultDetail(interval);
-    const std::uint64_t warmup =
-        given >= 3 ? v[2] : SamplingConfig::defaultWarmup(interval);
-    if (const char *err =
-            SamplingConfig::shapeError(interval, detail, warmup)) {
-        rc_fatal("RCACHE_SAMPLE: " + std::string(err) + " (got '" +
-                 text + "')");
-    }
-    return EngineSpec::makeSampled(interval, detail, warmup);
+    std::string err;
+    const std::optional<EngineSpec> spec = parseEngineArg(env, &err);
+    if (!spec)
+        rc_fatal("RCACHE_ENGINE: " + err);
+    return *spec;
 }
 
 /** Profiles to run (RCACHE_APPS=ammp,gcc,... or the full suite). */
@@ -196,13 +170,9 @@ banner(const std::string &what, const std::string &paper_ref)
               << "reproduces: " << paper_ref << "\n"
               << "instructions/run: " << runInsts() << "\n";
     const EngineSpec e = benchEngine();
-    if (e.sampled()) {
-        std::cout << "engine: sampled, period "
-                  << e.sampling.intervalInsts << ", detail "
-                  << e.sampling.detailedInsts << ", warmup "
-                  << e.sampling.warmupInsts
+    if (e.mode != EngineMode::Full)
+        std::cout << "engine: " << engineArg(e)
                   << " (not comparable to full-detail tables)\n";
-    }
     std::cout << '\n';
 }
 

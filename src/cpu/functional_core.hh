@@ -50,8 +50,28 @@ class FunctionalCore
                    unsigned fetch_width, ResizePolicy *il1_policy,
                    ResizePolicy *dl1_policy);
 
-    /** Advance @p num_insts instructions of @p workload. */
+    /** Advance @p num_insts instructions of @p workload: begin(),
+     *  then the stream drained batch by batch into feed(). */
     void run(Workload &workload, std::uint64_t num_insts);
+
+    /** @name Push-driven span
+     * A warm span is begin(n), then feed() calls handing over exactly
+     * n instructions in stream order. The state left behind depends
+     * only on the instructions, never on how they are split across
+     * feed() calls, so one stream can warm several Systems in
+     * lockstep windows (runner/sweep_runner.hh).
+     */
+    /// @{
+    /** Open a span of @p num_insts instructions. */
+    void begin(std::uint64_t num_insts);
+    /**
+     * Advance the next @p n instructions of the span. With a probe
+     * attached, the span is split at sampleInterval() boundaries
+     * (counted from begin()) and probe->onWarmupSample runs at each
+     * one and at the span's end, as Core::feed samples onSample.
+     */
+    void feed(const MicroInst *insts, std::size_t n);
+    /// @}
 
     /**
      * Forget the current fetch block so the next instruction re-probes
@@ -60,8 +80,8 @@ class FunctionalCore
      */
     void invalidateFetchBlock() { fetch_.redirect(); }
 
-    /** Attach a telemetry probe (null to detach); probed runs call
-     *  probe->onWarmupSample every sampleInterval() instructions. */
+    /** Attach a telemetry probe (null to detach) before begin();
+     *  feed() samples it every sampleInterval() instructions. */
     void setProbe(CoreProbe *probe) { probe_ = probe; }
 
   private:
@@ -71,6 +91,13 @@ class FunctionalCore
     ResizePolicy *dl1Policy_;
     FetchFrontEnd fetch_;
     CoreProbe *probe_ = nullptr;
+
+    /** Span length, instructions fed so far, and the next probe
+     *  sample point (all counted from begin()). */
+    std::uint64_t spanInsts_ = 0;
+    std::uint64_t fed_ = 0;
+    std::uint64_t nextSample_ = 0;
+    std::uint64_t sampleStride_ = 0;
 };
 
 } // namespace rcache

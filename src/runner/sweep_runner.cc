@@ -50,7 +50,7 @@ executeRunJob(const RunJob &job)
 bool
 lockstepEligible(const RunJob &job)
 {
-    return job.engine.mode == EngineMode::Full && job.cfg.cores == 1;
+    return !job.engine.analytic() && job.cfg.cores == 1;
 }
 
 std::vector<std::vector<std::size_t>>
@@ -69,6 +69,7 @@ planLockstepGroups(const std::vector<RunJob> &jobs,
             streams.begin(), streams.end(), [&](const auto &stream) {
                 const RunJob &first = jobs[stream.front()];
                 return first.insts == jobs[i].insts &&
+                       first.engine == jobs[i].engine &&
                        first.profile == jobs[i].profile;
             });
         if (same != streams.end())
@@ -117,29 +118,26 @@ executeLockstep(const std::vector<RunJob> &jobs,
     for (std::size_t k = 0; k < n; ++k) {
         const RunJob &job = jobs[group[k]];
         rc_assert(lockstepEligible(job) && job.insts == lead.insts &&
+                  job.engine == lead.engine &&
                   job.profile == lead.profile);
         job.engine.validate();
         timed(k, [&] {
             systems[k] = std::make_unique<System>(job.cfg);
-            systems[k]->start(job.insts, job.il1, job.dl1,
-                              job.telemetry);
+            systems[k]->open(job.il1, job.dl1, job.engine.mode,
+                             job.telemetry);
         });
     }
 
-    // The window is one workloadBatchSize batch: small enough to stay
-    // in the L1 data cache while every System reads it (measured
-    // faster than 512- and 4096-instruction windows).
-    forEachBatch(*wl, lead.insts,
-                 [&](const MicroInst *insts, std::size_t fill) {
-                     for (std::size_t k = 0; k < n; ++k)
-                         timed(k, [&] { systems[k]->feed(insts, fill); });
-                 });
+    System::drive(*wl, lead.insts, lead.engine, [&](const auto &fn) {
+        for (std::size_t k = 0; k < n; ++k)
+            timed(k, [&] { fn(*systems[k]); });
+    });
 
     std::vector<RunResult> results(n);
     const std::string name = wl->name();
     for (std::size_t k = 0; k < n; ++k) {
         timed(k, [&] {
-            results[k] = systems[k]->finish(name);
+            results[k] = systems[k]->result(name, lead.insts);
             systems[k].reset();
         });
     }

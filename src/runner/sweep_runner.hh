@@ -9,12 +9,16 @@
  * for it, so the result of a job depends only on the job spec.
  *
  * Many jobs of a sweep simulate the same instruction stream on
- * different machines. SweepRunner therefore runs full-detail,
- * single-core jobs that share a stream (equal profile and insts) as
- * lockstep groups: one workload, one private System per job, the
- * stream read once in fixed windows and each window fed to every
- * System. The Systems share nothing but the read-only window, so each
- * result is exactly its solo run's. Every other job is a group of
+ * different machines. SweepRunner therefore runs single-core jobs
+ * that share a stream and an engine (equal profile, insts and
+ * EngineSpec; full detail or sampled) as lockstep groups: one
+ * workload, one private System per job, the stream read once in
+ * fixed windows and each window fed to every System (System::drive).
+ * A sampled group skips the stream once per period and feeds every
+ * System the same warm span and measured window, which is exact
+ * because a period's shape depends only on the stream position. The
+ * Systems share nothing but the read-only window, so each result is
+ * exactly its solo run's. Analytic and multi-core jobs are groups of
  * one. SweepRunner fans the groups across a work-stealing thread pool
  * and writes each result into the slot of the job that produced it,
  * so the returned vector is in submission order and bit-identical to
@@ -81,13 +85,16 @@ struct RunJob
  */
 RunResult executeRunJob(const RunJob &job);
 
-/** Can @p job run in a lockstep group (full detail, one core)? */
+/** Can @p job run in a lockstep group (full detail or sampled, one
+ *  core)? */
 bool lockstepEligible(const RunJob &job);
 
 /**
  * The groups SweepRunner::run executes @p jobs in at @p parallelism
- * workers: lockstep-eligible jobs with an equal stream (profile and
- * insts) are split, in job order, into groups of
+ * workers: lockstep-eligible jobs with an equal stream and engine
+ * (profile, insts and EngineSpec, so sampled jobs group only with
+ * the same period shape and never with full-detail ones) are split,
+ * in job order, into groups of
  * K = min(8, ceil(stream jobs / parallelism)); every other job is a
  * group of one. Each group lists job indices in ascending order, and
  * groups are ordered by their first job.
@@ -98,9 +105,9 @@ planLockstepGroups(const std::vector<RunJob> &jobs,
 
 /**
  * Run the jobs of @p jobs named by @p group — lockstep-eligible, all
- * on one stream — from one workload, each on its own System, and
- * return their results in group order (each equal to
- * executeRunJob's). Memory is one System per job plus one stream
+ * on one stream under one engine — from one workload, each on its
+ * own System, and return their results in group order (each equal
+ * to executeRunJob's). Memory is one System per job plus one stream
  * window, whatever the run length.
  *
  * @param busy_seconds if non-null, receives each System's host

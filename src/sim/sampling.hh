@@ -14,8 +14,12 @@
  * FunctionalCore: caches (tags, replacement state, dirty bits), the
  * branch predictor, and the resize controllers' interval/miss
  * counters advance with no timing, rebuilding the state the skip left
- * stale. System::period (sim/system.hh) runs one period; single-core
- * runs loop it, and multi-core runs take one period per core turn.
+ * stale. System::drive (sim/system.hh) holds the one period sequence:
+ * a single-core run loops it, for one System alone or for a lockstep
+ * group of Systems fed the same warm span and measured window from
+ * one stream (runner/sweep_runner.hh), and multi-core runs take one
+ * period per core turn (System::period). Grouping is exact because a
+ * period's shape depends only on the stream position (periodShape).
  * The detailed window is measured on the timing core: cycles,
  * instruction mix, and per-cache counter deltas accumulate across all
  * windows and are extrapolated (scaled by total/measured
@@ -61,8 +65,9 @@ struct SamplingConfig
     /**
      * Why (interval, detailed, warmup) is not a valid sampled shape,
      * or nullptr if it is. The single source of the shape rules —
-     * validate(), the --engine / [engine] parsers, and the benches'
-     * RCACHE_SAMPLE knob all call this, so the layers cannot drift.
+     * validate() and the --engine / [engine] parsers (which the
+     * benches' RCACHE_ENGINE knob shares) all call this, so the
+     * layers cannot drift.
      * Overflow-safe for any uint64 inputs.
      */
     static const char *shapeError(std::uint64_t interval,
@@ -105,10 +110,9 @@ struct SamplingConfig
     std::uint64_t measuredInsts(std::uint64_t total) const;
 
     /** @name Derived defaults
-     * The single source for the documented `--engine sampled` /
-     * `RCACHE_SAMPLE` defaulting rules, shared by the CLI, the
-     * scenario parser, and the benches so the knobs cannot drift
-     * apart.
+     * The single source for the documented `--engine sampled`
+     * defaulting rules, shared by the CLI, the scenario parser, and
+     * the benches (RCACHE_ENGINE) so the knobs cannot drift apart.
      */
     /// @{
     /** Default measured window: a tenth of the period, at least 1. */

@@ -136,29 +136,8 @@ System::run(Workload &workload, std::uint64_t num_insts,
                  "through executeRunJob");
 
     open(il1_setup, dl1_setup, engine.mode, telemetry);
-    if (engine.sampled()) {
-        for (std::uint64_t left = num_insts; left > 0;)
-            left -= period(workload, engine.sampling, left);
-    } else {
-        measure(workload, num_insts);
-    }
+    drive(workload, num_insts, engine, self());
     return result(workload.name(), num_insts);
-}
-
-void
-System::start(std::uint64_t num_insts, const ResizeSetup &il1_setup,
-              const ResizeSetup &dl1_setup, RunTelemetry *telemetry)
-{
-    open(il1_setup, dl1_setup, EngineMode::Full, telemetry);
-    beginWindow();
-    core_->begin(num_insts);
-}
-
-RunResult
-System::finish(const std::string &workload)
-{
-    endWindow(core_->finish());
-    return result(workload, measured_.activity.insts);
 }
 
 System::Counters
@@ -170,17 +149,19 @@ System::counters() const
 }
 
 void
-System::beginWindow()
+System::beginMeasure(std::uint64_t n)
 {
     core_->resetTiming();
     il1_.cache().restartTimeAccounting();
     dl1_.cache().restartTimeAccounting();
     windowStart_ = counters();
+    core_->begin(n);
 }
 
 void
-System::endWindow(const CoreActivity &act)
+System::endMeasure()
 {
+    const CoreActivity act = core_->finish();
     il1_.cache().accumulateEnabledTime(act.cycles);
     dl1_.cache().accumulateEnabledTime(act.cycles);
 
@@ -194,14 +175,7 @@ System::endWindow(const CoreActivity &act)
 }
 
 void
-System::measure(Workload &workload, std::uint64_t n)
-{
-    beginWindow();
-    endWindow(core_->run(workload, n));
-}
-
-void
-System::warm(Workload &workload, std::uint64_t n)
+System::beginWarm(std::uint64_t n)
 {
     if (!func_) {
         func_ = std::make_unique<FunctionalCore>(
@@ -212,25 +186,33 @@ System::warm(Workload &workload, std::uint64_t n)
     // A measured window may have moved the stream since the last
     // warm span.
     func_->invalidateFetchBlock();
-    func_->run(workload, n);
+    func_->begin(n);
     measured_.warmupInsts += n;
+}
+
+void
+System::feedWarm(const MicroInst *insts, std::size_t n)
+{
+    func_->feed(insts, n);
+}
+
+void
+System::measure(Workload &workload, std::uint64_t n)
+{
+    driveMeasure(workload, n, self());
+}
+
+void
+System::warm(Workload &workload, std::uint64_t n)
+{
+    driveWarm(workload, n, self());
 }
 
 std::uint64_t
 System::period(Workload &workload, const SamplingConfig &sampling,
                std::uint64_t remaining)
 {
-    const SamplingConfig::PeriodShape shape =
-        sampling.periodShape(remaining);
-    // Fast-forward: workload position only; nothing simulated.
-    if (shape.fastForward)
-        workload.skip(shape.fastForward);
-    // Warmup: rebuild the cache/predictor/controller state that went
-    // stale across the skip.
-    if (shape.warmup)
-        warm(workload, shape.warmup);
-    measure(workload, shape.detailed);
-    return shape.fastForward + shape.warmup + shape.detailed;
+    return drivePeriod(workload, sampling, remaining, self());
 }
 
 RunResult

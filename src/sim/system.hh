@@ -18,10 +18,16 @@
  * periods, and result() extrapolates the measured windows the same
  * way for both (full detail is the scale-1 case).
  *
- * A full-detail run is either pulled from a Workload (run()) or pushed
- * instruction windows by the caller (start() / feed() / finish()), the
- * form that lets one stream drive several Systems in lockstep
- * (runner/sweep_runner.hh). Both give the identical result.
+ * The measured window and the warm span also have push forms
+ * (beginMeasure() / feedMeasure() / endMeasure(), beginWarm() /
+ * feedWarm()) that take the stream's instructions from the caller.
+ * drive() is the one place a run's stream is carved into those steps
+ * (one measured window for full detail; fast-forward, warm span and
+ * measured window per sampling period), written once for any number
+ * of Systems at the same stream position: run(), measure(), warm()
+ * and period() call it for this System alone, and a lockstep group
+ * (runner/sweep_runner.hh) calls it for up to eight Systems fed from
+ * one workload. Every System gets the identical result either way.
  */
 
 #ifndef RCACHE_SIM_SYSTEM_HH
@@ -214,32 +220,14 @@ class System
                   const EngineSpec &engine = {},
                   RunTelemetry *telemetry = nullptr);
 
-    /** @name Push-driven full-detail run
-     * start(n, ...) opens the run with run()'s setups and telemetry;
-     * feed() hands over the stream's next instructions in order,
-     * exactly @p num_insts of them in total, split any way; finish()
-     * returns what run() would have returned for a workload named
-     * @p workload. Single use, like run().
-     */
-    /// @{
-    void start(std::uint64_t num_insts,
-               const ResizeSetup &il1_setup = {},
-               const ResizeSetup &dl1_setup = {},
-               RunTelemetry *telemetry = nullptr);
-    void feed(const MicroInst *insts, std::size_t n)
-    {
-        core_->feed(insts, n);
-    }
-    RunResult finish(const std::string &workload);
-    /// @}
-
     /** @name Stepped run
      * The steps run() is made of, for a caller that interleaves
-     * several Systems over one shared L2. open() wires the run; any
-     * sequence of measure(), warm() and period() calls then advances
-     * it, each taking the next instructions of the stream; result()
-     * extrapolates the measured windows to a run of @p insts
-     * instructions labelled @p mode by open(). Single use.
+     * several Systems over one shared L2 or feeds several from one
+     * stream. open() wires the run; any sequence of measure(), warm()
+     * and period() calls (or their push forms below, or drive())
+     * then advances it, each taking the next instructions of the
+     * stream; result() extrapolates the measured windows to a run of
+     * @p insts instructions labelled @p mode by open(). Single use.
      */
     /// @{
     void open(const ResizeSetup &il1_setup, const ResizeSetup &dl1_setup,
@@ -262,6 +250,46 @@ class System
                          const SamplingConfig &sampling,
                          std::uint64_t remaining);
     RunResult result(const std::string &workload, std::uint64_t insts);
+    /// @}
+
+    /** @name Push-driven steps
+     * measure() is beginMeasure(n), feedMeasure() calls handing over
+     * exactly n instructions in stream order, then endMeasure();
+     * warm() is beginWarm(n) and feedWarm() calls the same way. The
+     * state and result depend only on the instructions, never on how
+     * they are split across feed calls.
+     */
+    /// @{
+    void beginMeasure(std::uint64_t n);
+    void feedMeasure(const MicroInst *insts, std::size_t n)
+    {
+        core_->feed(insts, n);
+    }
+    void endMeasure();
+    void beginWarm(std::uint64_t n);
+    void feedWarm(const MicroInst *insts, std::size_t n);
+    /// @}
+
+    /** @name Driving a run from one stream
+     * @p each(fn) must call fn(System &) once on every System of a
+     * group, in the same order each time; every System of the group
+     * is open() and at the same position of @p workload. The stream
+     * is read once, in workloadBatchSize windows each handed to every
+     * System, so the group needs one window of memory whatever its
+     * size (one batch stays in the L1 data cache while every System
+     * reads it; measured faster than 512- and 4096-instruction
+     * windows). A caller may time each System's share inside
+     * @p each.
+     */
+    /// @{
+    /**
+     * Advance the group over @p insts instructions under @p engine
+     * (full detail or sampled): one measured window, or the sampling
+     * periods in order until @p insts are consumed.
+     */
+    template <typename Each>
+    static void drive(Workload &workload, std::uint64_t insts,
+                      const EngineSpec &engine, Each &&each);
     /// @}
 
     /** Cache, L2 and memory event counts: a snapshot of the live
@@ -298,10 +326,26 @@ class System
 
     std::unique_ptr<ResizePolicy> makePolicy(ResizableCache &cache,
                                              const ResizeSetup &setup);
-    /** Open a measurement window (before the core's begin()). */
-    void beginWindow();
-    /** Close the window the core timed as @p act. */
-    void endWindow(const CoreActivity &act);
+
+    /** The Each of a group of one: this System. */
+    auto self()
+    {
+        return [this](auto &&fn) { fn(*this); };
+    }
+    /** @name The group steps measure(), warm() and period() wrap */
+    /// @{
+    template <typename Each>
+    static void driveMeasure(Workload &workload, std::uint64_t n,
+                             Each &&each);
+    template <typename Each>
+    static void driveWarm(Workload &workload, std::uint64_t n,
+                          Each &&each);
+    template <typename Each>
+    static std::uint64_t drivePeriod(Workload &workload,
+                                     const SamplingConfig &sampling,
+                                     std::uint64_t remaining,
+                                     Each &&each);
+    /// @}
 
     SystemConfig cfg_;
     CoreModel model_;
@@ -315,7 +359,7 @@ class System
     std::unique_ptr<ResizePolicy> il1Policy_;
     std::unique_ptr<ResizePolicy> dl1Policy_;
     std::unique_ptr<Core> core_;
-    /** Built by the first warm(). */
+    /** Built by the first beginWarm(). */
     std::unique_ptr<FunctionalCore> func_;
     std::unique_ptr<TimelineRecorder> recorder_;
     RunTelemetry *telemetry_ = nullptr;
@@ -323,6 +367,63 @@ class System
     Counters windowStart_;
     Measured measured_;
 };
+
+template <typename Each>
+void
+System::driveWarm(Workload &workload, std::uint64_t n, Each &&each)
+{
+    each([&](System &sys) { sys.beginWarm(n); });
+    forEachBatch(workload, n,
+                 [&](const MicroInst *insts, std::size_t fill) {
+                     each([&](System &sys) { sys.feedWarm(insts, fill); });
+                 });
+}
+
+template <typename Each>
+void
+System::driveMeasure(Workload &workload, std::uint64_t n, Each &&each)
+{
+    each([&](System &sys) { sys.beginMeasure(n); });
+    forEachBatch(workload, n,
+                 [&](const MicroInst *insts, std::size_t fill) {
+                     each([&](System &sys) {
+                         sys.feedMeasure(insts, fill);
+                     });
+                 });
+    each([](System &sys) { sys.endMeasure(); });
+}
+
+template <typename Each>
+std::uint64_t
+System::drivePeriod(Workload &workload, const SamplingConfig &sampling,
+                    std::uint64_t remaining, Each &&each)
+{
+    const SamplingConfig::PeriodShape shape =
+        sampling.periodShape(remaining);
+    // Fast-forward: workload position only; nothing simulated.
+    if (shape.fastForward)
+        workload.skip(shape.fastForward);
+    // Warmup: rebuild the cache/predictor/controller state that went
+    // stale across the skip.
+    if (shape.warmup)
+        driveWarm(workload, shape.warmup, each);
+    driveMeasure(workload, shape.detailed, each);
+    return shape.fastForward + shape.warmup + shape.detailed;
+}
+
+template <typename Each>
+void
+System::drive(Workload &workload, std::uint64_t insts,
+              const EngineSpec &engine, Each &&each)
+{
+    rc_assert(!engine.analytic());
+    if (engine.sampled()) {
+        for (std::uint64_t left = insts; left > 0;)
+            left -= drivePeriod(workload, engine.sampling, left, each);
+        return;
+    }
+    driveMeasure(workload, insts, each);
+}
 
 } // namespace rcache
 

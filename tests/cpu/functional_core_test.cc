@@ -3,16 +3,23 @@
  * functional instructions must leave the caches and the branch
  * predictor exactly where N detailed instructions leave them, so a
  * sampled run's measured window starts from the state full detail
- * would have reached.
+ * would have reached. Its push form must leave the same state
+ * however the span is split, which is what lets one stream warm a
+ * lockstep group.
  */
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "cache/replacement.hh"
+#include "core/dynamic_controller.hh"
 #include "core/resizable_cache.hh"
 #include "cpu/functional_core.hh"
 #include "cpu/ooo_core.hh"
 #include "workload/profiles.hh"
+#include "util/random.hh"
 #include "workload/synthetic.hh"
 
 namespace rcache
@@ -59,7 +66,149 @@ expectSameCounters(const Cache &functional, const Cache &detailed)
     EXPECT_EQ(functional.writebacks(), detailed.writebacks());
 }
 
+/** Logs every warmup sample with the caches' access counts at that
+ *  moment, so both the call points and the state they saw compare. */
+class SampleLog final : public CoreProbe
+{
+  public:
+    SampleLog(const Cache &il1, const Cache &dl1) : il1_(il1), dl1_(dl1)
+    {
+    }
+
+    std::uint64_t sampleInterval() const override { return 777; }
+    void
+    onSample(std::uint64_t, std::uint64_t, const CoreActivity &) override
+    {
+        ADD_FAILURE() << "timing sample from a FunctionalCore";
+    }
+    void
+    onWarmupSample(std::uint64_t window_insts) override
+    {
+        calls.push_back({window_insts, il1_.accesses(), dl1_.accesses()});
+    }
+
+    std::vector<std::vector<std::uint64_t>> calls;
+
+  private:
+    const Cache &il1_;
+    const Cache &dl1_;
+};
+
+/** Resizable L1s under W-TinyLFU, each with a dynamic controller on
+ *  a short interval, warmed by a FunctionalCore. */
+struct WarmMachine
+{
+    explicit WarmMachine(bool probed)
+        : il1("il1", CacheGeometry{}, Organization::SelectiveSets,
+              "wtlfu"),
+          dl1("dl1", CacheGeometry{}, Organization::SelectiveSets,
+              "wtlfu"),
+          hier(&il1.cache(), &dl1.cache(),
+               CacheGeometry{512 * 1024, 4, 32, 8192}, HierarchyParams{}),
+          bpred(BranchPredictorParams{}),
+          il1Ctl(il1, hier.l1WritebackSink(), params()),
+          dl1Ctl(dl1, hier.l1WritebackSink(), params()),
+          log(il1.cache(), dl1.cache()),
+          func(hier, bpred, CoreParams{}.fetchWidth, &il1Ctl, &dl1Ctl)
+    {
+        if (probed)
+            func.setProbe(&log);
+    }
+
+    static DynamicParams
+    params()
+    {
+        DynamicParams p;
+        p.intervalAccesses = 512;
+        p.missBound = 16;
+        return p;
+    }
+
+    ResizableCache il1;
+    ResizableCache dl1;
+    Hierarchy hier;
+    BranchPredictor bpred;
+    DynamicMissRatioController il1Ctl;
+    DynamicMissRatioController dl1Ctl;
+    SampleLog log;
+    FunctionalCore func;
+};
+
+void
+expectSameControllers(const DynamicMissRatioController &split,
+                      const DynamicMissRatioController &whole)
+{
+    EXPECT_EQ(split.intervals(), whole.intervals());
+    EXPECT_EQ(split.upsizes(), whole.upsizes());
+    EXPECT_EQ(split.downsizes(), whole.downsizes());
+    EXPECT_EQ(split.levelTrace(), whole.levelTrace());
+}
+
 } // namespace
+
+/**
+ * begin(n) fed in random chunks (single instructions, short runs,
+ * and spans crossing several 777-instruction probe boundaries) must
+ * leave caches, predictor and controllers exactly where run() leaves
+ * them, and sample the probe at the same points over the same state.
+ */
+TEST(FunctionalCoreTest, FeedInAnySplitEqualsRun)
+{
+    const std::uint64_t n = 40000;
+    Rng rng(16);
+    for (const char *app : {"gcc", "swim"}) {
+        for (const bool probed : {false, true}) {
+            SCOPED_TRACE(std::string(app) + (probed ? "/probed" : ""));
+            WarmMachine whole(probed);
+            WarmMachine split(probed);
+            SyntheticWorkload ww(profileByName(app));
+            SyntheticWorkload ws(profileByName(app));
+
+            whole.func.run(ww, n);
+
+            std::vector<MicroInst> insts(n);
+            ws.nextBatch(insts.data(), n);
+            split.func.begin(n);
+            std::uint64_t singles = 0;
+            for (std::uint64_t done = 0; done < n;) {
+                std::uint64_t chunk = 1;
+                switch (rng.nextBelow(3)) {
+                  case 0:
+                    ++singles;
+                    break;
+                  case 1:
+                    chunk = 1 + rng.nextBelow(64);
+                    break;
+                  default:
+                    chunk = 1 + rng.nextBelow(3 * 777);
+                    break;
+                }
+                chunk = std::min(chunk, n - done);
+                split.func.feed(insts.data() + done, chunk);
+                done += chunk;
+            }
+            EXPECT_GT(singles, 0u);
+
+            for (const auto &[s, w] :
+                 {std::pair{&split.il1, &whole.il1},
+                  std::pair{&split.dl1, &whole.dl1}}) {
+                expectSameCounters(s->cache(), w->cache());
+                EXPECT_EQ(s->cache().resizes(), w->cache().resizes());
+            }
+            EXPECT_EQ(split.hier.l2().accesses(),
+                      whole.hier.l2().accesses());
+            EXPECT_EQ(split.hier.memReads(), whole.hier.memReads());
+            EXPECT_EQ(split.hier.memWrites(), whole.hier.memWrites());
+            EXPECT_EQ(split.bpred.lookups(), whole.bpred.lookups());
+            EXPECT_EQ(split.bpred.mispredicts(), whole.bpred.mispredicts());
+            expectSameControllers(split.il1Ctl, whole.il1Ctl);
+            expectSameControllers(split.dl1Ctl, whole.dl1Ctl);
+            EXPECT_GT(whole.dl1.cache().resizes(), 0u);
+            EXPECT_EQ(split.log.calls, whole.log.calls);
+            EXPECT_EQ(whole.log.calls.size(), probed ? n / 777 + 1 : 0);
+        }
+    }
+}
 
 TEST(FunctionalCoreTest, LeavesTheCountersDetailedExecutionLeaves)
 {

@@ -191,7 +191,7 @@ TEST(TraceEventsTest, LockstepGroupSpansTileTheirWorkersWindows)
 {
     // Two streams of 10 full-detail jobs each plus a sampled job: at
     // two workers the runner forms groups of five, and the sampled
-    // job runs alone.
+    // job, the only one under its engine, runs alone.
     std::vector<RunJob> jobs;
     for (const char *app : {"gcc", "swim"}) {
         for (unsigned level = 0; level < 10; ++level) {
