@@ -272,8 +272,8 @@ class System
 
     /** @name Driving a run from one stream
      * @p each(fn) must call fn(System &) once on every System of a
-     * group, in the same order each time; every System of the group
-     * is open() and at the same position of @p workload. The stream
+     * group; every System of the group is open() and at the same
+     * position of @p workload. The stream
      * is read once, in workloadBatchSize windows each handed to every
      * System, so the group needs one window of memory whatever its
      * size (one batch stays in the L1 data cache while every System
