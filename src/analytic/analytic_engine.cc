@@ -71,9 +71,13 @@ staticGeometry(Organization org, const CacheGeometry &g,
              "Strategy::Dynamic needs the detailed engine");
 }
 
-} // namespace
-
-struct AnalyticPass::Context
+/**
+ * One baseline context: a real Cache + Hierarchy at a registered
+ * full geometry, streamed beside the stack profiles. Its block
+ * frames (~0.3 MB at the paper's geometries, mostly the L2's) live
+ * only while its pass runs; the pass keeps just the counts.
+ */
+struct BaselineContext
 {
     SystemConfig cfg;
     Cache il1;
@@ -81,9 +85,8 @@ struct AnalyticPass::Context
     Hierarchy hier;
     std::uint64_t il1MissL2Hit = 0;
     std::uint64_t dl1MissL2Hit = 0;
-    BaselineStats stats;
 
-    explicit Context(const SystemConfig &c)
+    explicit BaselineContext(const SystemConfig &c)
         : cfg(c),
           il1("analytic_il1", c.il1),
           dl1("analytic_dl1", c.dl1),
@@ -92,13 +95,13 @@ struct AnalyticPass::Context
     }
 };
 
+} // namespace
+
 AnalyticPass::AnalyticPass(const BenchmarkProfile &profile,
                            std::uint64_t insts)
     : profile_(profile), insts_(insts)
 {
 }
-
-AnalyticPass::~AnalyticPass() = default;
 
 std::string
 AnalyticPass::streamKey(const SystemConfig &cfg,
@@ -155,40 +158,14 @@ AnalyticPass::addConfig(const SystemConfig &cfg)
         }
     }
 
-    const std::string ckey = contextKeyOf(cfg);
-    if (!contexts_.count(ckey))
-        contexts_.emplace(ckey, std::make_unique<Context>(cfg));
-}
-
-void
-AnalyticPass::il1Event(Addr pc)
-{
-    for (StackDistanceProfile &p : il1Profiles_)
-        p.access(pc);
-    for (auto &[key, ctx] : contexts_) {
-        const MemAccessResult res = ctx->hier.instAccess(pc);
-        if (!res.l1Hit && res.l2Hit)
-            ++ctx->il1MissL2Hit;
-    }
-}
-
-void
-AnalyticPass::dl1Event(Addr addr, bool is_write)
-{
-    for (StackDistanceProfile &p : dl1Profiles_)
-        p.access(addr);
-    for (auto &[key, ctx] : contexts_) {
-        const MemAccessResult res = ctx->hier.dataAccess(addr, is_write);
-        if (!res.l1Hit && res.l2Hit)
-            ++ctx->dl1MissL2Hit;
-    }
+    contextCfgs_.emplace(contextKeyOf(cfg), cfg);
 }
 
 void
 AnalyticPass::run()
 {
     rc_assert(!ran_);
-    rc_assert(shapeSet_ && !contexts_.empty());
+    rc_assert(shapeSet_ && !contextCfgs_.empty());
 
     il1Profiles_.reserve(il1Req_.size());
     for (const auto &[sets, ways] : il1Req_)
@@ -196,6 +173,31 @@ AnalyticPass::run()
     dl1Profiles_.reserve(dl1Req_.size());
     for (const auto &[sets, ways] : dl1Req_)
         dl1Profiles_.emplace_back(sets, ways, dl1BlockBits_);
+
+    std::vector<std::unique_ptr<BaselineContext>> contexts;
+    contexts.reserve(contextCfgs_.size());
+    for (const auto &[key, cfg] : contextCfgs_)
+        contexts.push_back(std::make_unique<BaselineContext>(cfg));
+
+    const auto il1Event = [&](Addr pc) {
+        for (StackDistanceProfile &p : il1Profiles_)
+            p.access(pc);
+        for (const auto &ctx : contexts) {
+            const MemAccessResult res = ctx->hier.instAccess(pc);
+            if (!res.l1Hit && res.l2Hit)
+                ++ctx->il1MissL2Hit;
+        }
+    };
+    const auto dl1Event = [&](Addr addr, bool is_write) {
+        for (StackDistanceProfile &p : dl1Profiles_)
+            p.access(addr);
+        for (const auto &ctx : contexts) {
+            const MemAccessResult res =
+                ctx->hier.dataAccess(addr, is_write);
+            if (!res.l1Hit && res.l2Hit)
+                ++ctx->dl1MissL2Hit;
+        }
+    };
 
     BranchPredictor bpred(bpred_);
     const std::unique_ptr<Workload> wlp = makeWorkload(profile_);
@@ -240,8 +242,9 @@ AnalyticPass::run()
 
     // Cross-check the two independent machineries against each other:
     // at each context's full geometry the stack profiles must agree
-    // with the real Cache models to the event.
-    for (auto &[key, ctx] : contexts_) {
+    // with the real Cache models to the event. Then keep the counts
+    // and let the contexts go.
+    for (const auto &ctx : contexts) {
         const Cache &i = ctx->il1;
         const Cache &d = ctx->dl1;
         rc_assert(il1Accesses() == i.accesses());
@@ -251,7 +254,7 @@ AnalyticPass::run()
         rc_assert(dl1MissesAt(ctx->cfg.dl1.numSets(),
                               ctx->cfg.dl1.assoc) == d.misses());
 
-        BaselineStats &b = ctx->stats;
+        BaselineStats &b = baselines_[contextKeyOf(ctx->cfg)];
         b.il1Accesses = i.accesses();
         b.il1Misses = i.misses();
         b.dl1Accesses = d.accesses();
@@ -319,11 +322,11 @@ const AnalyticPass::BaselineStats &
 AnalyticPass::baseline(const SystemConfig &cfg) const
 {
     rc_assert(ran_);
-    const auto it = contexts_.find(contextKeyOf(cfg));
-    if (it == contexts_.end())
+    const auto it = baselines_.find(contextKeyOf(cfg));
+    if (it == baselines_.end())
         rc_fatal("analytic pass has no baseline context for this "
                  "configuration (addConfig was never called with it)");
-    return it->second->stats;
+    return it->second;
 }
 
 namespace
@@ -544,29 +547,54 @@ AnalyticBatch::registerConfig(const SystemConfig &cfg,
                               const BenchmarkProfile &workload,
                               std::uint64_t insts)
 {
-    auto &pass =
-        passes_[AnalyticPass::streamKey(cfg, workload.name, insts)];
-    if (!pass)
-        pass = std::make_unique<AnalyticPass>(workload, insts);
-    pass->addConfig(cfg);
+    const auto [it, added] = index_.emplace(
+        AnalyticPass::streamKey(cfg, workload.name, insts),
+        passes_.size());
+    if (added)
+        passes_.push_back(std::make_unique<AnalyticPass>(workload, insts));
+    passes_[it->second]->addConfig(cfg);
+}
+
+std::vector<RunResult>
+AnalyticBatch::price(const std::vector<RunJob> &jobs,
+                     const SweepRunner &runner)
+{
+    std::vector<std::size_t> slot(jobs.size());
+    std::vector<bool> needed(passes_.size(), false);
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+        slot[k] = index_.at(AnalyticPass::streamKey(
+            jobs[k].cfg, jobs[k].profile.name, jobs[k].insts));
+        needed[slot[k]] = true;
+    }
+    std::vector<AnalyticPass *> pending;
+    for (std::size_t i = 0; i < passes_.size(); ++i)
+        if (needed[i] && !passes_[i]->ran())
+            pending.push_back(passes_[i].get());
+    if (!pending.empty())
+        for (std::size_t i = 0; i < passes_.size() &&
+                                pending.size() < runner.parallelism();
+             ++i)
+            if (!needed[i] && !passes_[i]->ran())
+                pending.push_back(passes_[i].get());
+    // Each pass owns its workload, predictor, profiles and contexts,
+    // so the passes run as independent tasks.
+    runner.forEach(pending.size(),
+                   [&](std::size_t i) { pending[i]->run(); });
+
+    // Jobs are priced in order from shared passes, so every
+    // downstream reduction, CSV row, and decision-log line is
+    // byte-identical for any --jobs value.
+    std::vector<RunResult> out;
+    out.reserve(jobs.size());
+    for (std::size_t k = 0; k < jobs.size(); ++k)
+        out.push_back(priceAnalyticJob(jobs[k], *passes_[slot[k]]));
+    return out;
 }
 
 std::vector<RunResult>
 AnalyticBatch::price(const std::vector<RunJob> &jobs)
 {
-    // Jobs are priced in order from shared passes, so every
-    // downstream reduction, CSV row, and decision-log line is
-    // byte-identical for any --jobs value without touching a runner.
-    std::vector<RunResult> out;
-    out.reserve(jobs.size());
-    for (const RunJob &job : jobs) {
-        AnalyticPass &pass = *passes_.at(AnalyticPass::streamKey(
-            job.cfg, job.profile.name, job.insts));
-        if (!pass.ran())
-            pass.run();
-        out.push_back(priceAnalyticJob(job, pass));
-    }
-    return out;
+    return price(jobs, SweepRunner(1));
 }
 
 } // namespace rcache

@@ -12,7 +12,10 @@
  *  - full-geometry reference contexts (real Cache + Hierarchy per
  *    distinct geometry/latency tuple): exact baseline L2/memory/
  *    writeback traffic and the L2-hit vs memory split of each side's
- *    misses, used to scale downstream traffic for resized geometries;
+ *    misses, used to scale downstream traffic for resized geometries.
+ *    run() builds them, streams them, and keeps only their counts
+ *    (BaselineStats), so their cache frames are resident only while
+ *    the pass streams;
  *  - a real BranchPredictor plus the instruction-mix tallies the
  *    energy model charges per event.
  *
@@ -32,10 +35,14 @@
  * engine prices static geometries only — Strategy::Dynamic is
  * rejected, as are multi-core configs and non-LRU replacement).
  *
- * Sweeps share one pass per (workload, stream-shape) across all jobs
- * of a scenario axis (scenario/scenario_sweep.cc); the single-job
- * entry point runAnalyticJob() below builds a private pass, which is
- * what `executeRunJob` dispatches to for one-off analytic runs.
+ * Sweeps and tune rounds share one pass per (workload, stream-shape)
+ * across all jobs of a scenario axis (AnalyticBatch below). Passes
+ * share nothing, so AnalyticBatch runs them as independent tasks on
+ * the --jobs worker pool (SweepRunner::forEach), then prices every
+ * job serially in job order; results never depend on the worker
+ * count. The single-job entry point runAnalyticJob() builds a private
+ * pass, which is what `executeRunJob` dispatches to for one-off
+ * analytic runs.
  */
 
 #ifndef RCACHE_ANALYTIC_ANALYTIC_ENGINE_HH
@@ -82,7 +89,6 @@ class AnalyticPass
      * @param insts   stream length in instructions
      */
     AnalyticPass(const BenchmarkProfile &profile, std::uint64_t insts);
-    ~AnalyticPass();
 
     AnalyticPass(const AnalyticPass &) = delete;
     AnalyticPass &operator=(const AnalyticPass &) = delete;
@@ -99,15 +105,18 @@ class AnalyticPass
                                  std::uint64_t insts);
 
     /**
-     * Register one configuration before run(): creates its baseline
+     * Register one configuration before run(): records its baseline
      * context (if its geometry/latency tuple is new) and extends the
      * profile requirements to every (sets, ways) any organization's
-     * schedule offers for its L1 geometries. Fatal after run(), or if
-     * @p cfg's stream key differs from a previously registered one.
+     * schedule offers for its L1 geometries. Allocates no cache.
+     * Fatal after run(), or if @p cfg's stream key differs from a
+     * previously registered one.
      */
     void addConfig(const SystemConfig &cfg);
 
-    /** Stream the workload once through every registered consumer. */
+    /** Stream the workload once through every registered consumer:
+     *  build the baseline contexts, cross-check them against the
+     *  stack profiles, keep their BaselineStats, and drop them. */
     void run();
     bool ran() const { return ran_; }
 
@@ -128,10 +137,6 @@ class AnalyticPass
     /// @}
 
   private:
-    struct Context;
-
-    void il1Event(Addr pc);
-    void dl1Event(Addr addr, bool is_write);
     const StackDistanceProfile &
     profileFor(const std::vector<StackDistanceProfile> &side,
                std::uint64_t sets, unsigned ways) const;
@@ -154,8 +159,10 @@ class AnalyticPass
     std::vector<StackDistanceProfile> il1Profiles_;
     std::vector<StackDistanceProfile> dl1Profiles_;
 
-    /** Baseline contexts keyed by geometry/latency tuple. */
-    std::map<std::string, std::unique_ptr<Context>> contexts_;
+    /** Baseline context configs, and after run() their counts,
+     *  keyed by geometry/latency tuple. */
+    std::map<std::string, SystemConfig> contextCfgs_;
+    std::map<std::string, BaselineStats> baselines_;
 
     CoreActivity mix_;
 };
@@ -182,10 +189,10 @@ RunResult priceAnalyticJob(const RunJob &job, const AnalyticPass &pass);
  * stream-shape) pair prices every job that shares it. Register every
  * configuration the batch will ever see up front (a pass cannot
  * learn new geometries once it has run), then price job lists in
- * order; each pass streams its workload lazily the first time a job
- * prices against it. The exhaustive sweep engine and the adaptive
- * search share this one implementation, so their per-job results
- * cannot drift.
+ * order; each pass streams its workload when a job first prices
+ * against it, or earlier to keep a worker busy. The exhaustive sweep
+ * engine and the adaptive search share this one implementation, so
+ * their per-job results cannot drift.
  */
 class AnalyticBatch
 {
@@ -196,12 +203,24 @@ class AnalyticBatch
                         const BenchmarkProfile &workload,
                         std::uint64_t insts);
 
-    /** Price @p jobs in order, running passes on first use. Every
-     *  job's config must have been registered. */
+    /**
+     * Price @p jobs in order. First the passes they need that have
+     * not run yet run on @p runner's workers, one task each, topped
+     * up in registration order with later unrun passes until every
+     * worker has one (so a chunked sweep keeps its workers busy
+     * too). Pricing itself is serial, so the results are the same
+     * for every runner. Every job's config must have been
+     * registered.
+     */
+    std::vector<RunResult> price(const std::vector<RunJob> &jobs,
+                                 const SweepRunner &runner);
+    /** price() on the calling thread alone. */
     std::vector<RunResult> price(const std::vector<RunJob> &jobs);
 
   private:
-    std::map<std::string, std::unique_ptr<AnalyticPass>> passes_;
+    /** Stream key -> index into passes_ (registration order). */
+    std::map<std::string, std::size_t> index_;
+    std::vector<std::unique_ptr<AnalyticPass>> passes_;
 };
 
 RunResult runAnalyticJob(const RunJob &job);

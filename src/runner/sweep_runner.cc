@@ -252,15 +252,22 @@ SweepRunner::run(const std::vector<RunJob> &jobs) const
             reportProgress(done.fetch_add(1) + 1, jobs.size(), jobs[i]);
     };
 
-    if (parallelism_ <= 1 || groups.size() <= 1) {
-        for (std::size_t g = 0; g < groups.size(); ++g)
-            run_group(g);
-        return results;
-    }
-    for (std::size_t g = 0; g < groups.size(); ++g)
-        pool_->submit([&run_group, g] { run_group(g); });
-    pool_->waitIdle();
+    forEach(groups.size(), run_group);
     return results;
+}
+
+void
+SweepRunner::forEach(std::size_t n,
+                     const std::function<void(std::size_t)> &fn) const
+{
+    if (parallelism_ <= 1 || n <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        pool_->submit([&fn, i] { fn(i); });
+    pool_->waitIdle();
 }
 
 } // namespace rcache

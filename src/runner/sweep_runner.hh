@@ -23,7 +23,8 @@
  * and writes each result into the slot of the job that produced it,
  * so the returned vector is in submission order and bit-identical to
  * a serial execution regardless of thread count, grouping or
- * completion order.
+ * completion order. forEach() lends the same workers to independent
+ * tasks that are not runs, such as AnalyticBatch's passes.
  */
 
 #ifndef RCACHE_RUNNER_SWEEP_RUNNER_HH
@@ -174,6 +175,16 @@ class SweepRunner
      * waiting on its own pool's idle state cannot drain).
      */
     std::vector<RunResult> run(const std::vector<RunJob> &jobs) const;
+
+    /**
+     * Call fn(0) .. fn(n - 1), each once, on this runner's workers,
+     * and return when all have. Serial, in index order, on the
+     * calling thread at parallelism 1. The calls may run in any
+     * order and concurrently, so each must touch state of its own;
+     * like run(), not callable from inside this runner's pool.
+     */
+    void forEach(std::size_t n,
+                 const std::function<void(std::size_t)> &fn) const;
 
     /** The serial reference path (what run() must reproduce). */
     static std::vector<RunResult>

@@ -132,7 +132,8 @@ sweep(const ParamSpace &space, const SweepOptions &opt,
     // distinct (workload, stream shape) pair prices every cell that
     // shares it — that is the whole point of the engine. Register
     // every remaining cell's configuration up front; AnalyticBatch
-    // runs each pass lazily the first time a chunk prices against it.
+    // runs each pass lazily, on the runner's workers, the first time
+    // a chunk prices against it.
     const std::vector<std::size_t> remaining(owned.begin() + skip,
                                              owned.end());
     AnalyticBatch analytic;
@@ -208,9 +209,10 @@ sweep(const ParamSpace &space, const SweepOptions &opt,
 
     // ---- one phase of a chunk: annotate the jobs with telemetry
     // bundles and design-point trace coordinates, run them, and
-    // append their telemetry in job order. Analytic cells never touch
-    // the runner: each job is priced from its shared pass, in job
-    // order, so the report is trivially --jobs-invariant.
+    // append their telemetry in job order. Analytic cells run only
+    // their passes on the runner's workers; each job is then priced
+    // from its shared pass, in job order, so the report is
+    // --jobs-invariant.
     std::size_t total_runs = 0;
     const PhaseRunner execute = [&](std::vector<RunJob> &jobs,
                                     const std::vector<std::size_t> &cells) {
@@ -241,7 +243,7 @@ sweep(const ParamSpace &space, const SweepOptions &opt,
             }
         }
         const auto results = spec.engine.analytic()
-                                 ? analytic.price(jobs)
+                                 ? analytic.price(jobs, runner)
                                  : runner.run(jobs);
         total_runs += jobs.size();
         for (RunJob &job : jobs) {

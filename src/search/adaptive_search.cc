@@ -39,7 +39,7 @@ struct TuneContext
 {
     const ParamSpace *space = nullptr;
     const std::vector<AppEntry> *apps = nullptr;
-    /** Worker threads for detailed/sampled rungs. */
+    /** Worker threads for every rung: runs, or analytic passes. */
     unsigned jobs = 1;
 };
 
@@ -48,7 +48,8 @@ struct TuneContext
  * scenario's: that is the fidelity ladder) through the CellBatch
  * path the sweep runs, so the rows are byte-identical to an
  * exhaustive sweep's at the same engine. Analytic rungs price
- * through shared stack-distance passes; the rest run on the pool.
+ * through shared stack-distance passes, which run on the pool; the
+ * other rungs run their jobs on it.
  */
 std::vector<SweepRecord>
 evaluateRound(const TuneContext &ctx,
@@ -57,8 +58,8 @@ evaluateRound(const TuneContext &ctx,
 {
     const CellScope scope{*ctx.space, *ctx.apps, &engine};
     BaselineMemo memo;
+    const SweepRunner runner(ctx.jobs);
     if (!engine.analytic()) {
-        const SweepRunner runner(ctx.jobs);
         return evaluateCells(
             scope, cells, memo,
             [&](std::vector<RunJob> &jobs,
@@ -74,14 +75,15 @@ evaluateRound(const TuneContext &ctx,
             scope, cells, memo,
             [&](std::vector<RunJob> &jobs,
                 const std::vector<std::size_t> &) {
-                return analytic.price(jobs);
+                return analytic.price(jobs, runner);
             });
     }
-    // The passes' stack-distance state (most of the 20 MB an analytic
-    // Figure 4 sweep peaks at) was freed on this thread; the pool
-    // workers of the later rounds allocate their Systems from arenas
-    // of their own, so return it rather than keep it resident beside
-    // them.
+    // The passes' profiles and baseline contexts were allocated on
+    // whichever thread ran each pass, and glibc keeps freed memory in
+    // that thread's arena; the later rounds' Systems may come from
+    // other arenas, so return it rather than keep it resident beside
+    // them (without this, fig4_tune's peak RSS is 0.8-1.7 MB higher
+    // at --jobs 1-4).
     releaseFreedHeap();
     return records;
 }

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 
 #include "runner/sweep_runner.hh"
 #include "sim/experiment.hh"
@@ -84,6 +85,26 @@ TEST(SweepRunnerTest, ResultsAreInJobOrder)
     ASSERT_EQ(results.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i)
         EXPECT_EQ(results[i].workload, jobs[i].profile.name);
+}
+
+TEST(SweepRunnerTest, ForEachCallsEveryIndexOnce)
+{
+    for (const unsigned workers : {1u, 3u}) {
+        const SweepRunner runner(workers);
+        std::vector<std::atomic<int>> calls(50);
+        std::vector<std::size_t> order;
+        std::mutex mtx;
+        runner.forEach(calls.size(), [&](std::size_t i) {
+            ++calls[i];
+            std::lock_guard<std::mutex> lk(mtx);
+            order.push_back(i);
+        });
+        for (const auto &c : calls)
+            EXPECT_EQ(c.load(), 1);
+        // At parallelism 1 the calls run inline, in index order.
+        if (workers == 1)
+            EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+    }
 }
 
 TEST(SweepRunnerTest, ProgressReachesTotalExactlyOnce)
