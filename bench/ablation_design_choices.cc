@@ -8,6 +8,10 @@
  *  3. downsize hysteresis (downsizeFraction) sensitivity;
  *  4. subarray size (512B/1K/2K) effect on the offered spectrum and
  *     achievable energy-delay.
+ *
+ * [1]-[3] drive System directly at full detail; [4] evaluates a
+ * static selective-sets d-cache scenario per subarray size through
+ * the cell path, so it honors RCACHE_JOBS and RCACHE_ENGINE.
  */
 
 #include "bench/common.hh"
@@ -26,7 +30,9 @@ hybridRedundantSizeRule()
               << "     the paper picks the highest associativity)\n\n";
     // Compare a 16K 4-way config against a 16K 2-way config reached
     // inside the same 32K 4-way hybrid cache, per app.
-    SystemConfig cfg = rcache::bench::baseWithAssoc(4);
+    SystemConfig cfg = SystemConfig::base();
+    cfg.il1.assoc = 4;
+    cfg.dl1.assoc = 4;
     cfg.dl1Org = Organization::Hybrid;
     TextTable t({"app", "16K@4w rel E*D", "16K@2w rel E*D",
                  "higher assoc better?"});
@@ -122,25 +128,23 @@ subarraySize()
     TextTable t({"subarray", "levels", "min size",
                  "avg E*D reduction (d$)"});
     for (unsigned sub : {512u, 1024u, 2048u}) {
-        SystemConfig cfg = SystemConfig::base();
-        cfg.dl1.subarraySize = sub;
-        cfg.il1.subarraySize = sub;
-        Experiment exp(cfg, rcache::bench::runInsts());
-        auto sched = buildSchedule(Organization::SelectiveSets,
-                                   cfg.dl1);
-        double ed = 0;
-        const auto apps = rcache::bench::suite();
-        for (const auto &p : apps) {
-            ed += exp.staticSearch(p, CacheSide::DCache,
-                                   Organization::SelectiveSets)
-                      .edReductionPct();
-        }
+        // Both L1s move together, so this is one scenario per
+        // subarray size rather than an axis.
+        ScenarioSpec spec;
+        spec.name = "ablation-subarray-" + std::to_string(sub);
+        spec.system.il1.subarraySize = sub;
+        spec.system.dl1.subarraySize = sub;
+        rcache::bench::applyEnv(spec);
+        const rcache::bench::Figure fig(spec);
+        const auto sched = buildSchedule(Organization::SelectiveSets,
+                                         spec.system.dl1);
         t.addRow({std::to_string(sub) + "B",
                   std::to_string(sched.size()),
                   TextTable::bytesKb(static_cast<double>(
                       sched.back().sizeBytes(32))),
-                  TextTable::pct(ed /
-                                 static_cast<double>(apps.size()))});
+                  TextTable::pct(
+                      fig.sum(&SweepRecord::edReductionPct, {}) /
+                      static_cast<double>(fig.numApps()))});
     }
     t.print(std::cout);
     std::cout << '\n';

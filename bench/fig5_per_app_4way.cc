@@ -3,6 +3,10 @@
  * Regenerates Figure 5: per-application comparison of static
  * selective-ways vs selective-sets for 32K 4-way d- and i-caches —
  * average cache-size reduction and processor energy-delay reduction.
+ *
+ * The design space lives in scenarios/fig5.scn (side x org axes on a
+ * 4-way base system); this bench renders it as the paper's two
+ * per-side panels.
  */
 
 #include "bench/common.hh"
@@ -12,39 +16,36 @@ using namespace rcache;
 int
 main()
 {
+    const bench::Figure fig(bench::loadScenario("fig5.scn"));
     bench::banner(
         "Figure 5: selective-ways vs selective-sets, 4-way 32K",
-        "Fig 5 (per-application size & energy-delay reductions)");
+        "Fig 5 (per-application size & energy-delay reductions)",
+        fig.spec().insts);
 
-    const auto apps = bench::suite();
-    Experiment exp(bench::baseWithAssoc(4), bench::runInsts());
-
-    for (auto side : {CacheSide::DCache, CacheSide::ICache}) {
-        std::cout << (side == CacheSide::DCache ? "(a) D-Cache"
-                                                : "(b) I-Cache")
-                  << "\n\n";
+    for (const std::string &side :
+         bench::axisValues(fig.spec(), "side")) {
+        std::cout << bench::sidePanel(side) << "\n\n";
         TextTable t({"app", "ways size-red", "sets size-red",
                      "ways E*D-red", "sets E*D-red", "ways perf",
                      "sets perf"});
         double wsz = 0, ssz = 0, wed = 0, sed = 0;
-        for (const auto &p : apps) {
-            auto w = exp.staticSearch(p, side,
-                                      Organization::SelectiveWays);
-            auto s = exp.staticSearch(p, side,
-                                      Organization::SelectiveSets);
-            wsz += w.sizeReductionPct(side);
-            ssz += s.sizeReductionPct(side);
-            wed += w.edReductionPct();
-            sed += s.edReductionPct();
-            t.addRow({p.name,
-                      TextTable::pct(w.sizeReductionPct(side)),
-                      TextTable::pct(s.sizeReductionPct(side)),
-                      TextTable::pct(w.edReductionPct()),
-                      TextTable::pct(s.edReductionPct()),
-                      TextTable::pct(w.perfDegradationPct()),
-                      TextTable::pct(s.perfDegradationPct())});
+        for (std::size_t a = 0; a < fig.numApps(); ++a) {
+            const SweepRecord &w =
+                fig.cell(a, {{"side", side}, {"org", "ways"}});
+            const SweepRecord &s =
+                fig.cell(a, {{"side", side}, {"org", "sets"}});
+            wsz += w.sizeReductionPct;
+            ssz += s.sizeReductionPct;
+            wed += w.edReductionPct;
+            sed += s.edReductionPct;
+            t.addRow({w.app, TextTable::pct(w.sizeReductionPct),
+                      TextTable::pct(s.sizeReductionPct),
+                      TextTable::pct(w.edReductionPct),
+                      TextTable::pct(s.edReductionPct),
+                      TextTable::pct(w.perfDegradationPct),
+                      TextTable::pct(s.perfDegradationPct)});
         }
-        const double n = static_cast<double>(apps.size());
+        const double n = static_cast<double>(fig.numApps());
         t.addRow({"AVG", TextTable::pct(wsz / n),
                   TextTable::pct(ssz / n), TextTable::pct(wed / n),
                   TextTable::pct(sed / n), "-", "-"});

@@ -6,6 +6,9 @@
  *
  * Paper shape to verify: hybrid >= max(selective-ways,
  * selective-sets) at every associativity.
+ *
+ * The design space lives in scenarios/fig6.scn (side x assoc x org
+ * axes); this bench renders it as the paper's two per-side panels.
  */
 
 #include "bench/common.hh"
@@ -15,37 +18,32 @@ using namespace rcache;
 int
 main()
 {
+    const bench::Figure fig(bench::loadScenario("fig6.scn"));
     bench::banner("Figure 6: hybrid organization effectiveness",
-                  "Fig 6 (hybrid vs selective-ways/sets, 2..16-way)");
+                  "Fig 6 (hybrid vs selective-ways/sets, 2..16-way)",
+                  fig.spec().insts);
 
-    const auto apps = bench::suite();
-    const std::uint64_t insts = bench::runInsts();
-    const double n = static_cast<double>(apps.size());
-
-    for (auto side : {CacheSide::DCache, CacheSide::ICache}) {
-        std::cout << (side == CacheSide::DCache ? "(a) D-Cache"
-                                                : "(b) I-Cache")
+    const double n = static_cast<double>(fig.numApps());
+    for (const std::string &side :
+         bench::axisValues(fig.spec(), "side")) {
+        std::cout << bench::sidePanel(side)
                   << " — avg reduction (%) in processor "
                      "energy-delay\n\n";
         TextTable t({"assoc", "hybrid", "selective-ways",
                      "selective-sets", "hybrid>=both?"});
-        for (unsigned assoc : {2u, 4u, 8u, 16u}) {
-            Experiment exp(bench::baseWithAssoc(assoc), insts);
-            double hyb = 0, ways = 0, sets = 0;
-            for (const auto &p : apps) {
-                hyb += exp.staticSearch(p, side, Organization::Hybrid)
-                           .edReductionPct();
-                ways += exp.staticSearch(p, side,
-                                         Organization::SelectiveWays)
-                            .edReductionPct();
-                sets += exp.staticSearch(p, side,
-                                         Organization::SelectiveSets)
-                            .edReductionPct();
-            }
+        for (const std::string &assoc :
+             bench::axisValues(fig.spec(), "assoc")) {
+            const auto sum = [&](const char *org) {
+                return fig.sum(&SweepRecord::edReductionPct,
+                               {{"side", side},
+                                {"assoc", assoc},
+                                {"org", org}});
+            };
+            const double hyb = sum("hybrid"), ways = sum("ways"),
+                         sets = sum("sets");
             const bool dominates =
                 hyb >= ways - 0.05 * n && hyb >= sets - 0.05 * n;
-            t.addRow({std::to_string(assoc) + "-way",
-                      TextTable::pct(hyb / n),
+            t.addRow({assoc + "-way", TextTable::pct(hyb / n),
                       TextTable::pct(ways / n),
                       TextTable::pct(sets / n),
                       dominates ? "yes" : "NO"});

@@ -6,63 +6,24 @@
  * Paper shape to verify: i-cache resizing saves more on the in-order
  * processor (larger i-cache energy share); dynamic's advantage grows
  * with out-of-order issue, where i-misses are more exposed.
+ *
+ * The design space lives in scenarios/fig8.scn (core x strategy
+ * axes).
  */
 
 #include "bench/common.hh"
 
 using namespace rcache;
 
-namespace
-{
-
-void
-half(const char *title, CoreModel model)
-{
-    std::cout << title << "\n\n";
-    SystemConfig cfg = SystemConfig::base();
-    cfg.coreModel = model;
-    Experiment exp(cfg, rcache::bench::runInsts());
-
-    TextTable t({"app", "static size-red", "dynamic size-red",
-                 "static E*D-red", "dynamic E*D-red"});
-    double ssz = 0, dsz = 0, sed = 0, ded = 0;
-    const auto apps = rcache::bench::suite();
-    for (const auto &p : apps) {
-        auto st = exp.staticSearch(p, CacheSide::ICache,
-                                   Organization::SelectiveSets);
-        auto dy = exp.dynamicSearch(p, CacheSide::ICache,
-                                    Organization::SelectiveSets);
-        ssz += st.sizeReductionPct(CacheSide::ICache);
-        dsz += dy.sizeReductionPct(CacheSide::ICache);
-        sed += st.edReductionPct();
-        ded += dy.edReductionPct();
-        t.addRow({p.name,
-                  TextTable::pct(st.sizeReductionPct(
-                      CacheSide::ICache)),
-                  TextTable::pct(dy.sizeReductionPct(
-                      CacheSide::ICache)),
-                  TextTable::pct(st.edReductionPct()),
-                  TextTable::pct(dy.edReductionPct())});
-    }
-    const double n = static_cast<double>(apps.size());
-    t.addRow({"AVG", TextTable::pct(ssz / n), TextTable::pct(dsz / n),
-              TextTable::pct(sed / n), TextTable::pct(ded / n)});
-    t.print(std::cout);
-    std::cout << '\n';
-}
-
-} // namespace
-
 int
 main()
 {
-    rcache::bench::banner(
+    const bench::Figure fig(bench::loadScenario("fig8.scn"));
+    bench::banner(
         "Figure 8: i-cache resizing strategy",
-        "Fig 8 (static vs dynamic selective-sets, 2-way i-cache)");
-    half("(a) in-order issue engine with blocking d-cache",
-         CoreModel::InOrder);
-    half("(b) out-of-order issue engine with nonblocking d-cache",
-         CoreModel::OutOfOrder);
+        "Fig 8 (static vs dynamic selective-sets, 2-way i-cache)",
+        fig.spec().insts);
+    bench::strategyPanels(fig);
     std::cout << "paper: (a) static 16%, dynamic 18%; "
                  "(b) static 11%, dynamic 15% (averages).\n";
     return 0;

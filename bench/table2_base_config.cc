@@ -4,10 +4,12 @@
  * by SystemConfig::base(), plus the measured base-system properties
  * the paper quotes in Section 4: the d-cache and i-cache shares of
  * total processor energy (paper: 18.5% and 17.5% averaged over the
- * suite).
+ * suite). The suite's baselines run as one batch on RCACHE_JOBS
+ * workers, under RCACHE_ENGINE.
  */
 
 #include "bench/common.hh"
+#include "sim/experiment.hh"
 
 using namespace rcache;
 
@@ -54,22 +56,27 @@ main()
                  "(paper Sec 4: d-cache 18.5%, i-cache 17.5%):\n\n";
 
     Experiment exp(cfg, bench::runInsts());
+    exp.setEngine(bench::benchEngine());
+    std::vector<RunJob> jobs;
+    for (const BenchmarkProfile &p : bench::suite())
+        jobs.push_back(exp.baselineJob(p));
+    const std::vector<RunResult> runs =
+        SweepRunner(bench::benchJobs()).run(jobs);
+
     double dsum = 0, isum = 0, ipc = 0;
-    auto apps = bench::suite();
     TextTable m({"app", "IPC", "d$ share", "i$ share", "d$ miss",
                  "i$ miss"});
-    for (const auto &p : apps) {
-        RunResult r = exp.baseline(p);
+    for (const RunResult &r : runs) {
         dsum += r.energy.dcacheFraction();
         isum += r.energy.icacheFraction();
         ipc += r.ipc();
-        m.addRow({p.name, TextTable::num(r.ipc()),
+        m.addRow({r.workload, TextTable::num(r.ipc()),
                   TextTable::pct(100 * r.energy.dcacheFraction()),
                   TextTable::pct(100 * r.energy.icacheFraction()),
                   TextTable::pct(100 * r.dl1MissRatio),
                   TextTable::pct(100 * r.il1MissRatio)});
     }
-    const double n = static_cast<double>(apps.size());
+    const double n = static_cast<double>(runs.size());
     m.addRow({"AVG", TextTable::num(ipc / n),
               TextTable::pct(100 * dsum / n),
               TextTable::pct(100 * isum / n), "-", "-"});

@@ -2,7 +2,9 @@
  * @file
  * Quickstart: build the paper's base system (Table 2), run one
  * workload three ways — non-resizable, static selective-sets, dynamic
- * selective-sets — and print the energy-delay comparison.
+ * selective-sets — and print the energy-delay comparison. The
+ * baseline and both profiling searches run as one batch of RunJobs;
+ * each search reduces to its minimum-energy-delay candidate.
  *
  * Usage: quickstart [profile-name] [instructions]
  */
@@ -10,6 +12,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "runner/sweep_runner.hh"
 #include "sim/experiment.hh"
 #include "sim/table.hh"
 
@@ -32,17 +35,31 @@ main(int argc, char **argv)
               << " instructions, base system ("
               << coreModelName(cfg.coreModel) << ")\n\n";
 
-    RunResult base = exp.baseline(profile);
+    const CacheSide side = CacheSide::DCache;
+    const Organization org = Organization::SelectiveSets;
+    std::vector<RunJob> jobs{exp.baselineJob(profile)};
+    const auto st_jobs =
+        exp.searchJobs(profile, side, org, Strategy::Static);
+    const auto dy_jobs =
+        exp.searchJobs(profile, side, org, Strategy::Dynamic);
+    jobs.insert(jobs.end(), st_jobs.begin(), st_jobs.end());
+    jobs.insert(jobs.end(), dy_jobs.begin(), dy_jobs.end());
+    const std::vector<RunResult> runs = SweepRunner::runSerial(jobs);
+    const RunResult &base = runs[0];
+    const auto st_end = runs.begin() + 1 + st_jobs.size();
+
     std::cout << "baseline (non-resizable 32K 2-way d-cache):\n"
               << "  cycles " << base.cycles << "  IPC "
               << TextTable::num(base.ipc()) << "  d-miss "
               << TextTable::pct(100 * base.dl1MissRatio) << "\n"
               << base.energy << '\n';
 
-    SearchOutcome st = exp.staticSearch(profile, CacheSide::DCache,
-                                        Organization::SelectiveSets);
-    SearchOutcome dy = exp.dynamicSearch(profile, CacheSide::DCache,
-                                         Organization::SelectiveSets);
+    const SearchOutcome st = Experiment::reduceSearch(
+        base, exp.searchCandidates(side, org, Strategy::Static),
+        {runs.begin() + 1, st_end});
+    const SearchOutcome dy = Experiment::reduceSearch(
+        base, exp.searchCandidates(side, org, Strategy::Dynamic),
+        {st_end, runs.end()});
 
     TextTable t({"d-cache setup", "avg size", "miss ratio",
                  "perf loss", "E*D reduction"});

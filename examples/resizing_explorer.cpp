@@ -74,7 +74,8 @@ main(int argc, char **argv)
     Experiment exp(cfg, insts);
     SweepRunner runner(jobs);
     std::vector<RunJob> batch{exp.baselineJob(profile)};
-    auto level_jobs = exp.staticSearchJobs(profile, side, org);
+    auto level_jobs = exp.searchJobs(profile, side, org,
+                                     Strategy::Static);
     batch.insert(batch.end(), level_jobs.begin(), level_jobs.end());
     const auto results = runner.run(batch);
     const RunResult &base = results[0];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <numeric>
 #include <sstream>
 
 #include "analytic/analytic_engine.hh"
@@ -185,18 +186,20 @@ CellBatch::add(std::size_t cell)
         jobs_.insert(jobs_.end(), std::make_move_iterator(jobs.begin()),
                      std::make_move_iterator(jobs.end()));
     };
+    const auto plan = [&](CacheSide side) {
+        const auto cands = exp.searchCandidates(side, p.org, p.strategy);
+        c.candidates.insert(c.candidates.end(), cands.begin(),
+                            cands.end());
+        append(exp.searchJobs(c.eff.label, side, p.org, p.strategy));
+    };
     c.off = jobs_.size();
     if (p.side == SweepSide::Both) {
-        append(exp.staticSearchJobs(c.eff.label, CacheSide::DCache,
-                                    p.org));
+        plan(CacheSide::DCache);
         c.mid = jobs_.size();
-        append(exp.staticSearchJobs(c.eff.label, CacheSide::ICache,
-                                    p.org));
+        plan(CacheSide::ICache);
         ++both_;
     } else {
-        const CacheSide side = cacheSideOf(p.side);
-        c.candidates = exp.searchCandidates(side, p.org, p.strategy);
-        append(exp.searchJobs(c.eff.label, side, p.org, p.strategy));
+        plan(cacheSideOf(p.side));
     }
     c.end = jobs_.size();
     attachMix(jobs_.begin() + first, jobs_.end(), c.eff);
@@ -210,9 +213,14 @@ CellBatch::run(const PhaseRunner &execute)
     const std::vector<RunResult> results = execute(jobs_, jobCells_);
     for (const auto &[key, idx] : newBases_)
         memo_[key] = results[idx];
-    const auto slice = [&](std::size_t from, std::size_t to) {
-        return std::vector<RunResult>(results.begin() + from,
-                                      results.begin() + to);
+    // Reduce candidate jobs [from, to) of cell @p c.
+    const auto reduce = [&](const Cell &c, std::size_t from,
+                            std::size_t to) {
+        return Experiment::reduceSearch(
+            memo_.at(c.baseKey),
+            {c.candidates.begin() + (from - c.off),
+             c.candidates.begin() + (to - c.off)},
+            {results.begin() + from, results.begin() + to});
     };
 
     // Side=both cells: each L1 was profiled on its own; run the two
@@ -224,10 +232,8 @@ CellBatch::run(const PhaseRunner &execute)
         const Cell &c = cells_[i];
         if (c.point.side != SweepSide::Both)
             continue;
-        const RunResult &base = memo_.at(c.baseKey);
-        dOuts[i] = Experiment::reduceStatic(base, slice(c.off, c.mid));
-        const SearchOutcome iOut =
-            Experiment::reduceStatic(base, slice(c.mid, c.end));
+        dOuts[i] = reduce(c, c.off, c.mid);
+        const SearchOutcome iOut = reduce(c, c.mid, c.end);
         Experiment exp(c.point.cfg, scope_.space.spec().insts);
         exp.setEngine(c.point.engine);
         combined.push_back(exp.bothStaticJob(c.eff.label, c.point.org,
@@ -244,13 +250,11 @@ CellBatch::run(const PhaseRunner &execute)
     std::size_t next2 = 0;
     for (std::size_t i = 0; i < cells_.size(); ++i) {
         const Cell &c = cells_[i];
-        const RunResult &base = memo_.at(c.baseKey);
         const SearchOutcome out =
             c.point.side == SweepSide::Both
-                ? Experiment::reduceBoth(base, dOuts[i],
+                ? Experiment::reduceBoth(memo_.at(c.baseKey), dOuts[i],
                                          results2[next2++])
-                : Experiment::reduceSearch(base, c.candidates,
-                                           slice(c.off, c.end));
+                : reduce(c, c.off, c.end);
         records.push_back(
             cellRecord(c.cell, scope_.app(c.cell).name, c.point, out));
     }
@@ -279,6 +283,30 @@ evaluateCells(const CellScope &scope,
     for (const std::size_t cell : cells)
         batch.add(cell);
     return batch.run(execute);
+}
+
+std::vector<SweepRecord>
+evaluateSpace(const ParamSpace &space, const SweepRunner &runner)
+{
+    std::string err;
+    const std::vector<AppEntry> apps = resolveApps(space.spec(), &err);
+    if (apps.empty())
+        rc_fatal(err);
+    const CellScope scope{space, apps};
+    std::vector<std::size_t> cells(apps.size() * space.numPoints());
+    std::iota(cells.begin(), cells.end(), 0);
+
+    AnalyticBatch analytic;
+    const bool priced = space.spec().engine.analytic();
+    if (priced)
+        registerAnalytic(analytic, scope, cells);
+    BaselineMemo memo;
+    return evaluateCells(
+        scope, cells, memo,
+        [&](std::vector<RunJob> &jobs, const std::vector<std::size_t> &) {
+            return priced ? analytic.price(jobs, runner)
+                          : runner.run(jobs);
+        });
 }
 
 } // namespace rcache

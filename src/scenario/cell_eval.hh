@@ -60,8 +60,9 @@ std::vector<AppEntry> resolveApps(const ScenarioSpec &spec,
  *  override. */
 struct EffectiveWorkload
 {
-    /** Label profile handed to Experiment: the first component
-     *  carrying the full mix name (what labels/memo keys show). */
+    /** Label profile the cell's jobs are built from: the first
+     *  component carrying the full mix name (what labels/memo keys
+     *  show). */
     BenchmarkProfile label;
     std::vector<BenchmarkProfile> mix;
 };
@@ -164,6 +165,7 @@ class CellBatch
         /** Candidate jobs: [off, end); side=both splits d-cache
          *  [off, mid) from i-cache [mid, end). */
         std::size_t off = 0, mid = 0, end = 0;
+        /** One per candidate job, in job order. */
         std::vector<SearchCandidate> candidates;
     };
 
@@ -182,6 +184,17 @@ std::vector<SweepRecord>
 evaluateCells(const CellScope &scope,
               const std::vector<std::size_t> &cells,
               BaselineMemo &memo, const PhaseRunner &execute);
+
+/**
+ * Evaluate every cell of @p space — each [workloads] app at each
+ * design point, app-major — as one CellBatch on @p runner, pricing
+ * analytic cells from shared passes as the sweep does. The apps must
+ * resolve (the parser checks [workloads]; a bad programmatic list is
+ * fatal).
+ * @return one record per cell, in cell order
+ */
+std::vector<SweepRecord> evaluateSpace(const ParamSpace &space,
+                                       const SweepRunner &runner);
 
 } // namespace rcache
 

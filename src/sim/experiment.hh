@@ -1,22 +1,19 @@
 /**
  * @file
- * Experiment driver: the paper's offline profiling methodology.
+ * Experiment: the paper's offline profiling methodology as job
+ * builders and reducers.
  *
  * Static resizing requires "profiling an application's execution with
  * different static cache sizes to determine the cache size with
  * minimal energy dissipation"; the dynamic controller's miss-bound and
- * size-bound "are extracted offline through profiling". staticSearch/
- * dynamicSearch implement exactly those sweeps and return the
- * minimum-energy-delay point together with the non-resizable baseline
- * it is normalized against.
- *
- * Every search decomposes into independent RunJobs (runner/
- * sweep_runner.hh): enumerate the design points, execute the batch,
- * reduce to the minimum-E.D point. Attach a SweepRunner with
- * setRunner() to execute batches on its thread pool; without one the
- * batch runs inline on the calling thread. Reductions scan results in
- * job order and keep the first minimum, so the outcome is identical
- * either way.
+ * size-bound "are extracted offline through profiling". A search cell
+ * decomposes into independent RunJobs (runner/sweep_runner.hh): the
+ * non-resizable baseline, one job per candidate (static schedule
+ * level or dynamic parameter point), and for side=both the combined
+ * run at each side's profiled level. Experiment builds those jobs and
+ * reduces their results to the minimum-E.D point; CellBatch
+ * (scenario/cell_eval.hh) plans, executes, and folds them for every
+ * client — sweep, tune, and the figure benches.
  *
  * Tie-break contract: reductions use a strict `<` comparison, so when
  * two candidates dissipate exactly equal energy-delay the FIRST one
@@ -29,10 +26,8 @@
 #ifndef RCACHE_SIM_EXPERIMENT_HH
 #define RCACHE_SIM_EXPERIMENT_HH
 
-#include <map>
-#include <mutex>
 #include <string>
-#include <utility>
+#include <vector>
 
 #include "runner/sweep_runner.hh"
 #include "sim/search_grid.hh"
@@ -145,112 +140,31 @@ class Experiment
     Experiment(const SystemConfig &cfg, std::uint64_t num_insts);
 
     /**
-     * Execute search batches on @p runner (not owned; may be null to
-     * return to inline execution). The attached runner is also what
-     * makes staticSearchBoth profile its two sides concurrently.
-     */
-    void setRunner(const SweepRunner *runner) { runner_ = runner; }
-    const SweepRunner *runner() const { return runner_; }
-
-    /**
-     * Apply @p engine to every job this experiment enumerates from
-     * now on (baselines included, so normalizations compare like with
-     * like). Defaults to full detail. Clears the baseline memo: a
-     * memoized full-detail baseline must not normalize runs of
-     * another engine.
+     * Apply @p engine to every job this experiment builds from now
+     * on (baselines included, so normalizations compare like with
+     * like). Defaults to full detail.
      */
     void setEngine(const EngineSpec &engine);
-    const EngineSpec &engine() const { return engine_; }
 
     /** Override the dynamic-controller profiling grid (defaults
      *  reproduce the paper's). */
     void setSearchGrid(const SearchGrid &grid) { grid_ = grid; }
-    const SearchGrid &searchGrid() const { return grid_; }
-
-    /** Non-resizable run of @p profile (memoized, thread-safe). */
-    RunResult baseline(const BenchmarkProfile &profile) const;
-
-    /**
-     * Sweep every offered level of @p org on @p side statically and
-     * return the minimum-E.D point.
-     */
-    SearchOutcome staticSearch(const BenchmarkProfile &profile,
-                               CacheSide side, Organization org) const;
-
-    /**
-     * Grid-search the dynamic controller's miss-bound and size-bound
-     * on @p side and return the minimum-E.D point.
-     */
-    SearchOutcome dynamicSearch(const BenchmarkProfile &profile,
-                                CacheSide side, Organization org) const;
-
-    /**
-     * Resize both caches together using each side's individually
-     * profiled static level (the paper's Fig 9 methodology).
-     */
-    SearchOutcome staticSearchBoth(const BenchmarkProfile &profile,
-                                   Organization org) const;
-
-    /** Run one explicit design point (used by examples/ablations). */
-    RunResult runPoint(const BenchmarkProfile &profile,
-                       Organization il1_org, Organization dl1_org,
-                       const ResizeSetup &il1_setup,
-                       const ResizeSetup &dl1_setup) const;
-
-    /** @name Generic grid search
-     * All three searches above are thin wrappers over these: a cell's
-     * candidates are enumerated (static schedule levels or the
-     * dynamic parameter grid), executed as one batch, and reduced to
-     * the minimum-E.D candidate under the documented tie-break.
-     */
-    /// @{
-
-    /** The candidate ResizeSetups a (side, org, strat) cell searches,
-     *  in job order (largest cache first for Static; dynamicGrid()
-     *  order for Dynamic). */
-    std::vector<SearchCandidate>
-    searchCandidates(CacheSide side, Organization org,
-                     Strategy strat) const;
-
-    /** One job per candidate of the (side, org, strat) cell. */
-    std::vector<RunJob> searchJobs(const BenchmarkProfile &profile,
-                                   CacheSide side, Organization org,
-                                   Strategy strat) const;
-
-    /** Execute a cell's search: candidates + baseline in one batch,
-     *  reduced with reduceSearch. */
-    SearchOutcome search(const BenchmarkProfile &profile,
-                         CacheSide side, Organization org,
-                         Strategy strat) const;
-
-    /**
-     * Pick the minimum-E.D candidate. Strict `<`: the first minimum
-     * in candidate order wins, so equal-E.D ties resolve to the
-     * larger cache / lower index (see the file comment).
-     * @p candidates must parallel @p results.
-     */
-    static SearchOutcome
-    reduceSearch(const RunResult &baseline,
-                 const std::vector<SearchCandidate> &candidates,
-                 const std::vector<RunResult> &results);
-    /// @}
-
-    /** @name Job enumeration / reduction
-     * The searches above are compositions of these; clients that
-     * batch many searches into one SweepRunner::run call (the CLI
-     * sweep, the benches) use them directly. Jobs are returned in the
-     * deterministic order the reductions expect.
-     */
-    /// @{
 
     /** The non-resizable baseline point of @p profile as a job. */
     RunJob baselineJob(const BenchmarkProfile &profile) const;
 
-    /** One job per offered level of @p org on @p side (level == job
-     *  index). */
-    std::vector<RunJob>
-    staticSearchJobs(const BenchmarkProfile &profile, CacheSide side,
-                     Organization org) const;
+    /** The candidate ResizeSetups a (side, org, strat) cell searches,
+     *  in job order (largest cache first for Static, so the level is
+     *  the index; dynamicGrid() order for Dynamic). */
+    std::vector<SearchCandidate>
+    searchCandidates(CacheSide side, Organization org,
+                     Strategy strat) const;
+
+    /** One job per candidate of the (side, org, strat) cell, in
+     *  searchCandidates() order. */
+    std::vector<RunJob> searchJobs(const BenchmarkProfile &profile,
+                                   CacheSide side, Organization org,
+                                   Strategy strat) const;
 
     /** Both caches resized together under @p org at each side's
      *  profiled static level (the Fig 9 combined point). */
@@ -258,69 +172,45 @@ class Experiment
                          Organization org, unsigned il1_level,
                          unsigned dl1_level) const;
 
-    /** The (interval, miss-bound, size-bound) grid dynamicSearch
+    /** The (interval, miss-bound, size-bound) grid a dynamic search
      *  walks for @p side under @p org, in job order. */
     std::vector<DynamicParams> dynamicGrid(CacheSide side,
                                            Organization org) const;
 
-    /** Pick the minimum-E.D static point (reduceSearch with level ==
-     *  index candidates; same tie-break). */
+    /**
+     * Pick the minimum-E.D candidate. Strict `<`: the first minimum
+     * in candidate order wins, so equal-E.D ties resolve to the
+     * larger cache / lower index (see the file comment). Candidates
+     * whose job never ran (insts == 0) are skipped.
+     * @p candidates must parallel @p results.
+     */
     static SearchOutcome
-    reduceStatic(const RunResult &baseline,
+    reduceSearch(const RunResult &baseline,
+                 const std::vector<SearchCandidate> &candidates,
                  const std::vector<RunResult> &results);
 
     /**
      * Assemble a side=both outcome (the Fig 9 methodology): the
      * combined run at the two per-side profiled levels is the best
      * point, and the reported level is the dcache side's (matching
-     * the per-side CSV convention). CellBatch
-     * (scenario/cell_eval.hh) folds every side=both cell with it.
+     * the per-side CSV convention).
      */
     static SearchOutcome reduceBoth(const RunResult &baseline,
                                     const SearchOutcome &dcacheOut,
                                     const RunResult &combined);
-    /// @}
 
     const SystemConfig &config() const { return cfg_; }
-    std::uint64_t numInsts() const { return numInsts_; }
-
-    /** Default dynamic-search miss-bound fractions (SearchGrid's
-     *  defaults; exposed for tests/ablations). */
-    static const std::vector<double> &missBoundFractions();
-
-    /**
-     * Interval lengths searched, in cache accesses. Short intervals
-     * amortize the controller's one-interval reaction lag when a
-     * working-set phase begins (critical when miss latency is
-     * exposed); long intervals resist noise.
-     */
-    static const std::vector<std::uint64_t> &intervalGrid();
 
     /** Default controller interval, in cache accesses. */
     static constexpr std::uint64_t dynIntervalAccesses = 8192;
 
   private:
     SystemConfig configFor(CacheSide side, Organization org) const;
-    /** Execute @p jobs on the attached runner, or inline. */
-    std::vector<RunResult>
-    execute(const std::vector<RunJob> &jobs) const;
-    /**
-     * Execute @p jobs plus (on a memo miss) the profile's baseline
-     * in the same batch, so an attached runner overlaps the
-     * baseline with the sweep instead of running it serially first.
-     * @return the baseline and the jobs' results, in job order
-     */
-    std::pair<RunResult, std::vector<RunResult>>
-    executeWithBaseline(const BenchmarkProfile &profile,
-                        std::vector<RunJob> jobs) const;
 
     SystemConfig cfg_;
     std::uint64_t numInsts_;
     EngineSpec engine_;
     SearchGrid grid_;
-    const SweepRunner *runner_ = nullptr;
-    mutable std::mutex memoMtx_;
-    mutable std::map<std::string, RunResult> baselineMemo_;
 };
 
 } // namespace rcache

@@ -5,8 +5,9 @@
  * size-bound fractions of the full cache size (0 = unbounded).
  *
  * The defaults reproduce the grid the pre-scenario searches
- * hardcoded. This is the single source of those defaults: Experiment
- * sweeps the grid and ScenarioSpec's [search] section overrides it,
+ * hardcoded. This is the single source of those defaults:
+ * Experiment::dynamicGrid enumerates it and ScenarioSpec's [search]
+ * section overrides it,
  * so the two layers cannot drift.
  */
 

@@ -17,7 +17,7 @@
 #include "analytic/analytic_engine.hh"
 #include "core/size_schedule.hh"
 #include "scenario/scenario_sweep.hh"
-#include "sim/experiment.hh"
+#include "tests/scenario/sweep_cells.hh"
 #include "workload/profiles.hh"
 
 namespace rcache
@@ -135,18 +135,15 @@ TEST(AnalyticExactnessTest, BestSizeSelectionAgreesWithDetailed)
 {
     // The decision the engine exists to accelerate: which static
     // level minimizes E.D. Both engines must pick the same one.
-    for (const char *app : {"ammp", "gcc", "swim"}) {
-        Experiment detailed(SystemConfig::base(), kInsts);
-        Experiment analytic(SystemConfig::base(), kInsts);
-        analytic.setEngine(EngineSpec::makeAnalytic());
-
-        const SearchOutcome d = detailed.staticSearch(
-            profileByName(app), CacheSide::DCache,
-            Organization::SelectiveSets);
-        const SearchOutcome a = analytic.staticSearch(
-            profileByName(app), CacheSide::DCache,
-            Organization::SelectiveSets);
-        EXPECT_EQ(a.bestLevel, d.bestLevel) << app;
+    const std::string cells = "[scenario]\ninsts = " +
+                              std::to_string(kInsts) +
+                              "\n\n[workloads]\napps = ammp,gcc,swim\n";
+    const auto d = sweepCells(cells);
+    const auto a = sweepCells(cells + "\n[engine]\nmode = analytic\n");
+    ASSERT_EQ(a.size(), d.size());
+    for (std::size_t i = 0; i < d.size(); ++i) {
+        EXPECT_EQ(a[i].engine, EngineMode::Analytic);
+        EXPECT_EQ(a[i].bestLevel, d[i].bestLevel) << d[i].app;
     }
 }
 

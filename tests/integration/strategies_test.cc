@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/experiment.hh"
+#include "tests/scenario/sweep_cells.hh"
 
 namespace rcache
 {
@@ -16,12 +16,13 @@ namespace
 // dynamic-vs-static contrast needs the adaptation to amortize.
 constexpr std::uint64_t kInsts = 1200000;
 
-SystemConfig
-inOrder()
+/** Selective-sets cells at kInsts; @p body holds the [system],
+ *  [workloads], [axes] and [search] sections. */
+std::vector<SweepRecord>
+cells(const std::string &body)
 {
-    SystemConfig cfg = SystemConfig::base();
-    cfg.coreModel = CoreModel::InOrder;
-    return cfg;
+    return sweepCells("[scenario]\ninsts = " + std::to_string(kInsts) +
+                      "\n\n" + body);
 }
 } // namespace
 
@@ -29,14 +30,16 @@ TEST(StrategiesIntegration, StaticMatchesDynamicOnConstantApps)
 {
     // ammp's working set never changes: static captures everything
     // and dynamic converges to the same size (paper Sec 4.2.1 type 1).
-    Experiment exp(SystemConfig::base(), kInsts);
-    auto p = profileByName("ammp");
-    auto st = exp.staticSearch(p, CacheSide::DCache,
-                               Organization::SelectiveSets);
-    auto dy = exp.dynamicSearch(p, CacheSide::DCache,
-                                Organization::SelectiveSets);
-    EXPECT_NEAR(st.edReductionPct(), dy.edReductionPct(), 2.0);
-    EXPECT_GT(dy.sizeReductionPct(CacheSide::DCache), 50.0);
+    const auto r = cells(R"([workloads]
+apps = ammp
+
+[axes]
+strategy = static,dynamic
+)");
+    ASSERT_EQ(r.size(), 2u);
+    const SweepRecord &st = r[0], &dy = r[1];
+    EXPECT_NEAR(st.edReductionPct, dy.edReductionPct, 2.0);
+    EXPECT_GT(dy.sizeReductionPct, 50.0);
 }
 
 TEST(StrategiesIntegration, DynamicCompetitiveOnPeriodicAppInOrder)
@@ -47,14 +50,19 @@ TEST(StrategiesIntegration, DynamicCompetitiveOnPeriodicAppInOrder)
     // within a small margin (the controller's hi-phase detection lag
     // costs roughly what the low-phase dips save; see
     // EXPERIMENTS.md); it must never be catastrophically worse.
-    Experiment exp(inOrder(), kInsts);
-    auto p = profileByName("su2cor");
-    auto st = exp.staticSearch(p, CacheSide::DCache,
-                               Organization::SelectiveSets);
-    auto dy = exp.dynamicSearch(p, CacheSide::DCache,
-                                Organization::SelectiveSets);
-    EXPECT_GE(dy.edReductionPct(), st.edReductionPct() - 1.0);
-    EXPECT_GE(dy.edReductionPct(), -0.5);
+    const auto r = cells(R"([system]
+core = inorder
+
+[workloads]
+apps = su2cor
+
+[axes]
+strategy = static,dynamic
+)");
+    ASSERT_EQ(r.size(), 2u);
+    const SweepRecord &st = r[0], &dy = r[1];
+    EXPECT_GE(dy.edReductionPct, st.edReductionPct - 1.0);
+    EXPECT_GE(dy.edReductionPct, -0.5);
 }
 
 TEST(StrategiesIntegration, OoOHidesMissLatencyForStatic)
@@ -62,14 +70,14 @@ TEST(StrategiesIntegration, OoOHidesMissLatencyForStatic)
     // With out-of-order issue the same app allows aggressive static
     // downsizing (paper Sec 4.2.1: "static resizing possibly performs
     // as good as dynamic").
-    Experiment ooo(SystemConfig::base(), kInsts);
-    Experiment inord(inOrder(), kInsts);
-    auto p = profileByName("su2cor");
-    auto st_ooo = ooo.staticSearch(p, CacheSide::DCache,
-                                   Organization::SelectiveSets);
-    auto st_in = inord.staticSearch(p, CacheSide::DCache,
-                                    Organization::SelectiveSets);
-    EXPECT_GT(st_ooo.edReductionPct(), st_in.edReductionPct());
+    const auto r = cells(R"([workloads]
+apps = su2cor
+
+[axes]
+core = ooo,inorder
+)");
+    ASSERT_EQ(r.size(), 2u);
+    EXPECT_GT(r[0].edReductionPct, r[1].edReductionPct);
 }
 
 TEST(StrategiesIntegration, DynamicTracksPeriodicPhases)
@@ -100,18 +108,20 @@ TEST(StrategiesIntegration, ICacheSavesMoreOnInOrder)
 {
     // Paper Sec 4.2.2: i-cache resizing achieves larger reductions on
     // the in-order processor (larger i-cache energy share).
-    Experiment ooo(SystemConfig::base(), kInsts);
-    Experiment inord(inOrder(), kInsts);
+    const auto r = cells(R"([workloads]
+apps = ammp,compress,m88ksim
+
+[axes]
+core = ooo,inorder
+
+[search]
+side = icache
+)");
+    ASSERT_EQ(r.size(), 6u);
     double ooo_sum = 0, inord_sum = 0;
-    for (const char *n : {"ammp", "compress", "m88ksim"}) {
-        auto p = profileByName(n);
-        ooo_sum += ooo.staticSearch(p, CacheSide::ICache,
-                                    Organization::SelectiveSets)
-                       .edReductionPct();
-        inord_sum += inord
-                         .staticSearch(p, CacheSide::ICache,
-                                       Organization::SelectiveSets)
-                         .edReductionPct();
+    for (std::size_t i = 0; i < r.size(); i += 2) {
+        ooo_sum += r[i].edReductionPct;
+        inord_sum += r[i + 1].edReductionPct;
     }
     EXPECT_GT(inord_sum, ooo_sum);
 }
@@ -120,16 +130,14 @@ TEST(StrategiesIntegration, PerfDegradationWithinPaperBounds)
 {
     // The paper reports all best-E*D points within 6% performance
     // degradation; check ours on the base config.
-    Experiment exp(SystemConfig::base(), kInsts);
-    for (const char *n : {"ammp", "gcc", "su2cor", "compress"}) {
-        auto p = profileByName(n);
-        auto st = exp.staticSearch(p, CacheSide::DCache,
-                                   Organization::SelectiveSets);
-        EXPECT_LT(st.perfDegradationPct(), 6.0) << n;
-        auto dy = exp.dynamicSearch(p, CacheSide::DCache,
-                                    Organization::SelectiveSets);
-        EXPECT_LT(dy.perfDegradationPct(), 6.0) << n;
-    }
+    for (const SweepRecord &out : cells(R"([workloads]
+apps = ammp,gcc,su2cor,compress
+
+[axes]
+strategy = static,dynamic
+)"))
+        EXPECT_LT(out.perfDegradationPct, 6.0)
+            << out.app << " " << out.strategy;
 }
 
 } // namespace rcache

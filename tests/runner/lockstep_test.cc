@@ -317,9 +317,9 @@ TEST(LockstepTest, MixedBatchMatchesSerialAtEveryJobCount)
     for (const std::uint64_t insts : {kInsts, kInsts + 5000}) {
         Experiment exp(SystemConfig::base(), insts);
         for (const char *app : {"ammp", "gcc"}) {
-            const auto s = exp.staticSearchJobs(
+            const auto s = exp.searchJobs(
                 profileByName(app), CacheSide::DCache,
-                Organization::SelectiveSets);
+                Organization::SelectiveSets, Strategy::Static);
             jobs.insert(jobs.end(), s.begin(), s.end());
         }
         const auto d = exp.searchJobs(profileByName("swim"),

@@ -1,5 +1,6 @@
 /** @file Tests for the sweep runner: ordering, determinism,
- *  progress, cancellation, and parity with serial Experiment use. */
+ *  progress, cancellation, and search cells that do not depend on
+ *  the worker count. */
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 
 #include "runner/sweep_runner.hh"
 #include "sim/experiment.hh"
+#include "tests/scenario/sweep_cells.hh"
 
 namespace rcache
 {
@@ -44,9 +46,9 @@ mixedBatch(const Experiment &exp)
 {
     std::vector<RunJob> jobs;
     for (const char *name : {"ammp", "gcc"}) {
-        auto s = exp.staticSearchJobs(profileByName(name),
-                                      CacheSide::DCache,
-                                      Organization::SelectiveSets);
+        auto s = exp.searchJobs(profileByName(name), CacheSide::DCache,
+                                Organization::SelectiveSets,
+                                Strategy::Static);
         jobs.insert(jobs.end(), s.begin(), s.end());
     }
     auto d = exp.searchJobs(profileByName("swim"), CacheSide::DCache,
@@ -150,51 +152,59 @@ TEST(SweepRunnerTest, CancelSkipsUnstartedJobs)
     EXPECT_GT(rerun[0].insts, 0u);
 }
 
+namespace
+{
+
+/** Every searched field of two record lists, compared exactly. */
+void
+expectSameRecords(const std::vector<SweepRecord> &a,
+                  const std::vector<SweepRecord> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE(a[i].app + " " + a[i].axes);
+        EXPECT_EQ(a[i].bestLevel, b[i].bestLevel);
+        EXPECT_EQ(a[i].intervalAccesses, b[i].intervalAccesses);
+        EXPECT_EQ(a[i].missBound, b[i].missBound);
+        EXPECT_EQ(a[i].sizeBoundBytes, b[i].sizeBoundBytes);
+        EXPECT_EQ(a[i].baselineEdp, b[i].baselineEdp);
+        EXPECT_EQ(a[i].bestEdp, b[i].bestEdp);
+        EXPECT_EQ(a[i].baselineCycles, b[i].baselineCycles);
+        EXPECT_EQ(a[i].bestCycles, b[i].bestCycles);
+        EXPECT_EQ(a[i].avgIl1Bytes, b[i].avgIl1Bytes);
+        EXPECT_EQ(a[i].avgDl1Bytes, b[i].avgDl1Bytes);
+    }
+}
+
+} // namespace
+
 TEST(SweepRunnerTest, ExperimentSearchesIdenticalWithAndWithoutRunner)
 {
-    const auto p = profileByName("ammp");
+    // Static per-side cells and the side=both combined point.
+    const std::string scn = R"([scenario]
+insts = 60000
 
-    Experiment serial(SystemConfig::base(), kInsts);
-    const auto s_static = serial.staticSearch(
-        p, CacheSide::DCache, Organization::SelectiveSets);
-    const auto s_both =
-        serial.staticSearchBoth(p, Organization::SelectiveSets);
+[workloads]
+apps = ammp
 
-    Experiment threaded(SystemConfig::base(), kInsts);
-    SweepRunner runner(4);
-    threaded.setRunner(&runner);
-    const auto t_static = threaded.staticSearch(
-        p, CacheSide::DCache, Organization::SelectiveSets);
-    const auto t_both =
-        threaded.staticSearchBoth(p, Organization::SelectiveSets);
-
-    EXPECT_EQ(s_static.bestLevel, t_static.bestLevel);
-    expectIdentical(s_static.baseline, t_static.baseline);
-    expectIdentical(s_static.best, t_static.best);
-    EXPECT_EQ(s_both.bestLevel, t_both.bestLevel);
-    expectIdentical(s_both.best, t_both.best);
+[axes]
+side = dcache,both
+)";
+    expectSameRecords(sweepCells(scn, 1), sweepCells(scn, 3));
 }
 
 TEST(SweepRunnerTest, DynamicSearchIdenticalWithAndWithoutRunner)
 {
-    const auto p = profileByName("swim");
+    const std::string scn = R"([scenario]
+insts = 60000
 
-    Experiment serial(SystemConfig::base(), kInsts);
-    const auto s = serial.dynamicSearch(
-        p, CacheSide::DCache, Organization::SelectiveSets);
+[workloads]
+apps = swim
 
-    Experiment threaded(SystemConfig::base(), kInsts);
-    SweepRunner runner(3);
-    threaded.setRunner(&runner);
-    const auto t = threaded.dynamicSearch(
-        p, CacheSide::DCache, Organization::SelectiveSets);
-
-    expectIdentical(s.best, t.best);
-    EXPECT_EQ(s.bestParams.intervalAccesses,
-              t.bestParams.intervalAccesses);
-    EXPECT_EQ(s.bestParams.missBound, t.bestParams.missBound);
-    EXPECT_EQ(s.bestParams.sizeBoundBytes,
-              t.bestParams.sizeBoundBytes);
+[search]
+strategy = dynamic
+)";
+    expectSameRecords(sweepCells(scn, 1), sweepCells(scn, 3));
 }
 
 TEST(SweepRunnerTest, ExecuteRunJobIsPure)
@@ -202,28 +212,6 @@ TEST(SweepRunnerTest, ExecuteRunJobIsPure)
     Experiment exp(SystemConfig::base(), kInsts);
     const RunJob job = exp.baselineJob(profileByName("gcc"));
     expectIdentical(executeRunJob(job), executeRunJob(job));
-}
-
-TEST(SweepRunnerTest, BaselineMemoSafeUnderConcurrentUse)
-{
-    // Hammer the memoized baseline from many threads; TSan-clean and
-    // every thread must observe the same result.
-    Experiment exp(SystemConfig::base(), kInsts);
-    const auto p = profileByName("ammp");
-    const RunResult ref = exp.baseline(p);
-
-    ThreadPool pool(4);
-    std::atomic<int> mismatches{0};
-    for (int i = 0; i < 16; ++i) {
-        pool.submit([&] {
-            RunResult r = exp.baseline(p);
-            if (r.cycles != ref.cycles ||
-                r.energy.total() != ref.energy.total())
-                ++mismatches;
-        });
-    }
-    pool.waitIdle();
-    EXPECT_EQ(mismatches.load(), 0);
 }
 
 } // namespace rcache

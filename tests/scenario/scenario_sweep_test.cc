@@ -181,8 +181,8 @@ TEST(ScenarioSweepTest, AnyRowBoundaryPrefixResumesIdentically)
 
 TEST(ScenarioSweepTest, RecordsMatchExperimentSearches)
 {
-    // One axis-free cell must agree exactly with the Experiment API
-    // it wraps.
+    // One axis-free cell must agree exactly with the job builders
+    // and reducer it is planned from.
     std::string err;
     auto spec = ScenarioSpec::parseText(R"([scenario]
 name = consistency
@@ -206,10 +206,17 @@ side = dcache
     ASSERT_EQ(records->size(), 1u);
     const SweepRecord &r = records->front();
 
-    Experiment exp(SystemConfig::base(), 20000);
-    const SearchOutcome out = exp.staticSearch(
-        profileByName("ammp"), CacheSide::DCache,
-        Organization::SelectiveSets);
+    const Experiment exp(SystemConfig::base(), 20000);
+    const BenchmarkProfile ammp = profileByName("ammp");
+    const std::vector<RunResult> results = SweepRunner::runSerial(
+        exp.searchJobs(ammp, CacheSide::DCache,
+                       Organization::SelectiveSets, Strategy::Static));
+    const SearchOutcome out = Experiment::reduceSearch(
+        executeRunJob(exp.baselineJob(ammp)),
+        exp.searchCandidates(CacheSide::DCache,
+                             Organization::SelectiveSets,
+                             Strategy::Static),
+        results);
     EXPECT_EQ(r.cell, 0u);
     EXPECT_EQ(r.app, "ammp");
     EXPECT_EQ(r.axes, "");

@@ -1,8 +1,13 @@
-/** @file Tests for the experiment (profiling search) driver. */
+/** @file
+ * Tests for the profiling search: Experiment's job builders and
+ * reducers, and search cells evaluated through CellBatch
+ * (scenario/cell_eval.hh) on the base system.
+ */
 
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hh"
+#include "tests/scenario/sweep_cells.hh"
 
 namespace rcache
 {
@@ -10,42 +15,40 @@ namespace rcache
 namespace
 {
 constexpr std::uint64_t kInsts = 120000;
-} // namespace
 
-TEST(ExperimentTest, BaselineIsMemoized)
+/** Cells of a base-system scenario at kInsts; @p body holds its
+ *  [workloads], [axes] and [search] sections (default search: static
+ *  selective-sets d-cache). */
+std::vector<SweepRecord>
+cells(const std::string &body)
 {
-    Experiment exp(SystemConfig::base(), kInsts);
-    auto p = profileByName("ammp");
-    RunResult a = exp.baseline(p);
-    RunResult b = exp.baseline(p);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_DOUBLE_EQ(a.energy.total(), b.energy.total());
+    return sweepCells("[scenario]\ninsts = " + std::to_string(kInsts) +
+                      "\n\n" + body);
 }
+} // namespace
 
 TEST(ExperimentTest, StaticSearchPicksMinimumED)
 {
-    Experiment exp(SystemConfig::base(), kInsts);
-    auto p = profileByName("ammp");
-    auto out = exp.staticSearch(p, CacheSide::DCache,
-                                Organization::SelectiveSets);
+    const SweepRecord out = cells("[workloads]\napps = ammp\n")[0];
     // ammp has a tiny working set: a much smaller cache must win.
     EXPECT_GT(out.bestLevel, 0u);
-    EXPECT_GT(out.edReductionPct(), 5.0);
-    EXPECT_LT(out.best.avgDl1Bytes, 32 * 1024.0);
+    EXPECT_GT(out.edReductionPct, 5.0);
+    EXPECT_LT(out.avgDl1Bytes, 32 * 1024.0);
     // And the best point cannot be worse than the full-size point.
-    EXPECT_LE(out.best.edp(), out.baseline.edp() * 1.01);
+    EXPECT_LE(out.bestEdp, out.baselineEdp * 1.01);
 }
 
 TEST(ExperimentTest, StaticSearchOnlyTouchesRequestedSide)
 {
-    Experiment exp(SystemConfig::base(), kInsts);
-    auto p = profileByName("ammp");
-    auto d = exp.staticSearch(p, CacheSide::DCache,
-                              Organization::SelectiveSets);
-    EXPECT_DOUBLE_EQ(d.best.avgIl1Bytes, 32 * 1024.0);
-    auto i = exp.staticSearch(p, CacheSide::ICache,
-                              Organization::SelectiveSets);
-    EXPECT_DOUBLE_EQ(i.best.avgDl1Bytes, 32 * 1024.0);
+    const auto r = cells(R"([workloads]
+apps = ammp
+
+[axes]
+side = dcache,icache
+)");
+    ASSERT_EQ(r.size(), 2u);
+    EXPECT_DOUBLE_EQ(r[0].avgIl1Bytes, 32 * 1024.0);
+    EXPECT_DOUBLE_EQ(r[1].avgDl1Bytes, 32 * 1024.0);
 }
 
 TEST(ExperimentTest, DynamicSearchNeverMuchWorseThanBaseline)
@@ -53,58 +56,66 @@ TEST(ExperimentTest, DynamicSearchNeverMuchWorseThanBaseline)
     // The grid includes a size-bound equal to the full size, so the
     // profiled dynamic point can only lose the resizing-tag-bit
     // overhead.
-    Experiment exp(SystemConfig::base(), kInsts);
-    for (const char *n : {"swim", "gcc"}) {
-        auto out = exp.dynamicSearch(profileByName(n),
-                                     CacheSide::DCache,
-                                     Organization::SelectiveSets);
-        EXPECT_GT(out.edReductionPct(), -1.0) << n;
-    }
+    for (const SweepRecord &out : cells(R"([workloads]
+apps = swim,gcc
+
+[search]
+strategy = dynamic
+)"))
+        EXPECT_GT(out.edReductionPct, -1.0) << out.app;
 }
 
 TEST(ExperimentTest, DynamicSearchShrinksSmallWorkingSet)
 {
-    Experiment exp(SystemConfig::base(), kInsts);
-    auto out = exp.dynamicSearch(profileByName("ammp"),
-                                 CacheSide::DCache,
-                                 Organization::SelectiveSets);
-    EXPECT_GT(out.sizeReductionPct(CacheSide::DCache), 30.0);
-    EXPECT_GT(out.edReductionPct(), 3.0);
+    const SweepRecord out = cells(R"([workloads]
+apps = ammp
+
+[search]
+strategy = dynamic
+)")[0];
+    EXPECT_GT(out.sizeReductionPct, 30.0);
+    EXPECT_GT(out.edReductionPct, 3.0);
 }
 
 TEST(ExperimentTest, BothSidesOutcomeCombines)
 {
-    Experiment exp(SystemConfig::base(), kInsts);
-    auto p = profileByName("m88ksim");
-    auto both = exp.staticSearchBoth(p, Organization::SelectiveSets);
-    EXPECT_LT(both.best.avgDl1Bytes, 32 * 1024.0);
-    EXPECT_LT(both.best.avgIl1Bytes, 32 * 1024.0);
-    auto d = exp.staticSearch(p, CacheSide::DCache,
-                              Organization::SelectiveSets);
-    auto i = exp.staticSearch(p, CacheSide::ICache,
-                              Organization::SelectiveSets);
+    const auto r = cells(R"([workloads]
+apps = m88ksim
+
+[axes]
+side = both,dcache,icache
+)");
+    ASSERT_EQ(r.size(), 3u);
+    const SweepRecord &both = r[0], &d = r[1], &i = r[2];
+    EXPECT_LT(both.avgDl1Bytes, 32 * 1024.0);
+    EXPECT_LT(both.avgIl1Bytes, 32 * 1024.0);
     // Additivity within slack (paper Fig 9).
-    EXPECT_NEAR(both.edReductionPct(),
-                d.edReductionPct() + i.edReductionPct(), 4.0);
+    EXPECT_NEAR(both.edReductionPct,
+                d.edReductionPct + i.edReductionPct, 4.0);
 }
 
 TEST(ExperimentTest, RunPointHonorsExplicitSetups)
 {
-    Experiment exp(SystemConfig::base(), kInsts);
-    auto p = profileByName("ammp");
-    RunResult r = exp.runPoint(
-        p, Organization::SelectiveSets, Organization::SelectiveWays,
-        ResizeSetup{Strategy::Static, 1, {}},
-        ResizeSetup{Strategy::Static, 1, {}});
+    RunJob job;
+    job.label = "ammp/point";
+    job.profile = profileByName("ammp");
+    job.cfg = SystemConfig::base();
+    job.cfg.il1Org = Organization::SelectiveSets;
+    job.cfg.dl1Org = Organization::SelectiveWays;
+    job.insts = kInsts;
+    job.il1 = ResizeSetup{Strategy::Static, 1, {}};
+    job.dl1 = ResizeSetup{Strategy::Static, 1, {}};
+    const RunResult r = executeRunJob(job);
     EXPECT_DOUBLE_EQ(r.avgIl1Bytes, 16 * 1024.0); // sets level 1
     EXPECT_DOUBLE_EQ(r.avgDl1Bytes, 16 * 1024.0); // ways level 1 (1w)
 }
 
 TEST(ExperimentTest, SearchGridsExposed)
 {
-    EXPECT_FALSE(Experiment::missBoundFractions().empty());
-    EXPECT_FALSE(Experiment::intervalGrid().empty());
-    for (double f : Experiment::missBoundFractions()) {
+    const SearchGrid grid;
+    EXPECT_FALSE(grid.missFractions.empty());
+    EXPECT_FALSE(grid.intervals.empty());
+    for (double f : grid.missFractions) {
         EXPECT_GT(f, 0.0);
         EXPECT_LT(f, 1.0);
     }
@@ -131,8 +142,11 @@ TEST(ExperimentTest, TieBreakPrefersLargerCacheLowerIndex)
     const std::vector<RunResult> results = {
         point(10.0, 100), point(8.0, 100), point(4.0, 200),
         point(12.0, 100)};
+    std::vector<SearchCandidate> levels(results.size());
+    for (unsigned i = 0; i < levels.size(); ++i)
+        levels[i].setup = ResizeSetup{Strategy::Static, i, {}};
     const SearchOutcome out =
-        Experiment::reduceStatic(base, results);
+        Experiment::reduceSearch(base, levels, results);
     EXPECT_EQ(out.bestLevel, 1u);
     EXPECT_DOUBLE_EQ(out.best.edp(), 800.0);
 
@@ -186,27 +200,11 @@ TEST(ExperimentTest, SearchGridOverrideShrinksDynamicGrid)
     EXPECT_EQ(small[1].sizeBoundBytes, 32u * 1024u);
 }
 
-TEST(ExperimentTest, GenericSearchMatchesWrappers)
-{
-    Experiment exp(SystemConfig::base(), kInsts);
-    auto p = profileByName("ammp");
-    const SearchOutcome wrapped = exp.staticSearch(
-        p, CacheSide::DCache, Organization::SelectiveSets);
-    const SearchOutcome generic =
-        exp.search(p, CacheSide::DCache,
-                   Organization::SelectiveSets, Strategy::Static);
-    EXPECT_EQ(wrapped.bestLevel, generic.bestLevel);
-    EXPECT_DOUBLE_EQ(wrapped.best.edp(), generic.best.edp());
-}
-
 TEST(ExperimentTest, PerfDegradationSignConvention)
 {
-    Experiment exp(SystemConfig::base(), kInsts);
-    auto out = exp.staticSearch(profileByName("ammp"),
-                                CacheSide::DCache,
-                                Organization::SelectiveSets);
+    const SweepRecord out = cells("[workloads]\napps = ammp\n")[0];
     // Downsizing can only slow the run down (or leave it equal).
-    EXPECT_GE(out.perfDegradationPct(), -0.5);
+    EXPECT_GE(out.perfDegradationPct, -0.5);
 }
 
 } // namespace rcache

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "runner/sweep_runner.hh"
+#include "scenario/cell_eval.hh"
 #include "sim/experiment.hh"
 #include "workload/profiles.hh"
 
@@ -38,6 +41,27 @@ sampledBaselineJob(const std::string &app, std::uint64_t insts,
     job.insts = insts;
     job.engine = engine;
     return job;
+}
+
+/** Static d-cache search of @p profile under @p engine, built from
+ *  the job builders and run serially (the gate needs RunResult
+ *  coverage fields a SweepRecord does not carry). */
+SearchOutcome
+gateSearch(const BenchmarkProfile &profile, std::uint64_t insts,
+             Organization org, const EngineSpec &engine)
+{
+    Experiment exp(SystemConfig::base(), insts);
+    exp.setEngine(engine);
+    std::vector<RunJob> jobs = exp.searchJobs(
+        profile, CacheSide::DCache, org, Strategy::Static);
+    jobs.push_back(exp.baselineJob(profile));
+    std::vector<RunResult> results = SweepRunner::runSerial(jobs);
+    const RunResult base = results.back();
+    results.pop_back();
+    return Experiment::reduceSearch(
+        base,
+        exp.searchCandidates(CacheSide::DCache, org, Strategy::Static),
+        results);
 }
 
 } // namespace
@@ -144,9 +168,9 @@ TEST(SampledRunTest, ParallelMatchesSerialBitExactly)
     for (const auto &app : {"ammp", "gcc", "swim", "vortex"}) {
         jobs.push_back(exp.baselineJob(profileByName(app)));
     }
-    auto d_jobs = exp.staticSearchJobs(
-        profileByName("gcc"), CacheSide::DCache,
-        Organization::SelectiveSets);
+    auto d_jobs = exp.searchJobs(profileByName("gcc"), CacheSide::DCache,
+                                 Organization::SelectiveSets,
+                                 Strategy::Static);
     jobs.insert(jobs.end(), d_jobs.begin(), d_jobs.end());
 
     const auto serial = SweepRunner::runSerial(jobs);
@@ -168,9 +192,10 @@ TEST(SampledRunTest, SampledSweepJobsCarryTheConfig)
 {
     Experiment exp(SystemConfig::base(), 200000);
     exp.setEngine(gateEngine());
-    const auto jobs = exp.staticSearchJobs(
-        profileByName("ammp"), CacheSide::DCache,
-        Organization::SelectiveWays);
+    const auto jobs = exp.searchJobs(profileByName("ammp"),
+                                     CacheSide::DCache,
+                                     Organization::SelectiveWays,
+                                     Strategy::Static);
     ASSERT_FALSE(jobs.empty());
     for (const auto &job : jobs)
         EXPECT_TRUE(job.engine.sampled());
@@ -180,12 +205,40 @@ TEST(SampledRunTest, SampledSweepJobsCarryTheConfig)
 
 TEST(SampledRunTest, SettingEngineClearsBaselineMemo)
 {
-    Experiment exp(SystemConfig::base(), 60000);
-    const RunResult full = exp.baseline(profileByName("ammp"));
-    EXPECT_EQ(full.engine, EngineMode::Full);
-    exp.setEngine(gateEngine());
-    const RunResult sampled = exp.baseline(profileByName("ammp"));
-    EXPECT_EQ(sampled.engine, EngineMode::Sampled);
+    // A baseline memo carried from a full-detail batch into a sampled
+    // batch of the same cell (a tune rung's CellScope::engine) must
+    // not normalize by the full-detail baseline: the sampled batch
+    // plans and runs its own.
+    std::string err;
+    const auto spec = ScenarioSpec::parseText(
+        "[scenario]\ninsts = 60000\n\n[workloads]\napps = ammp\n",
+        "memo.scn", &err);
+    ASSERT_TRUE(spec) << err;
+    const auto space = ParamSpace::build(*spec, &err);
+    ASSERT_TRUE(space) << err;
+    const std::vector<AppEntry> apps = resolveApps(*spec, &err);
+
+    BaselineMemo memo;
+    const EngineSpec sampled = gateEngine();
+    for (const EngineSpec *engine : {(const EngineSpec *)nullptr,
+                                     &sampled}) {
+        CellBatch batch(CellScope{*space, apps, engine}, memo);
+        batch.add(0);
+        EXPECT_EQ(batch.newBaselineLabels().size(), 1u);
+        const auto records =
+            batch.run([](std::vector<RunJob> &jobs,
+                         const std::vector<std::size_t> &) {
+                return SweepRunner::runSerial(jobs);
+            });
+        EXPECT_EQ(records[0].engine,
+                  engine ? EngineMode::Sampled : EngineMode::Full);
+    }
+    std::set<EngineMode> baselines;
+    for (const auto &entry : memo)
+        baselines.insert(entry.second.engine);
+    EXPECT_EQ(baselines,
+              (std::set<EngineMode>{EngineMode::Full,
+                                    EngineMode::Sampled}));
 }
 
 /**
@@ -202,17 +255,13 @@ TEST(SamplingAccuracyGate, StaticSearchMatchesFullDetail)
     const std::uint64_t insts = 400000;
     const Organization org = Organization::SelectiveSets;
 
-    Experiment full(SystemConfig::base(), insts);
-    Experiment sampled(SystemConfig::base(), insts);
-    sampled.setEngine(gateEngine());
-
     unsigned agree = 0;
     double max_rel_ed_err = 0;
     for (const auto &profile : spec2000Suite()) {
         const SearchOutcome f =
-            full.staticSearch(profile, CacheSide::DCache, org);
+            gateSearch(profile, insts, org, EngineSpec{});
         const SearchOutcome s =
-            sampled.staticSearch(profile, CacheSide::DCache, org);
+            gateSearch(profile, insts, org, gateEngine());
 
         if (f.bestLevel == s.bestLevel)
             ++agree;
