@@ -8,9 +8,9 @@
  * Usage: dynamic_adaptation [profile] [missBound%] [instructions]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "example_args.hh"
 #include "sim/experiment.hh"
 #include "sim/table.hh"
 
@@ -19,11 +19,10 @@ using namespace rcache;
 int
 main(int argc, char **argv)
 {
-    const std::string profile_name = argc > 1 ? argv[1] : "su2cor";
-    const double bound_pct =
-        argc > 2 ? std::atof(argv[2]) : 2.5;
-    const std::uint64_t insts =
-        argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1200000;
+    const ExampleArgs args("dynamic_adaptation", argc, argv);
+    const std::string profile_name = args.word(1, "su2cor");
+    const double bound_pct = args.number(2, "missBound%", 2.5);
+    const std::uint64_t insts = args.count(3, "instructions", 1200000);
 
     BenchmarkProfile profile = profileByName(profile_name);
     SystemConfig cfg = SystemConfig::base();

@@ -6,12 +6,12 @@
  * Section 4 claim that the L1s dissipate ~18.5% (d) and ~17.5% (i)
  * of total energy.
  *
- * Usage: energy_breakdown [inorder] [instructions]
+ * Usage: energy_breakdown [inorder|ooo] [instructions]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "example_args.hh"
 #include "sim/experiment.hh"
 #include "sim/table.hh"
 
@@ -20,10 +20,13 @@ using namespace rcache;
 int
 main(int argc, char **argv)
 {
-    const bool inorder =
-        argc > 1 && std::string(argv[1]) == "inorder";
-    const std::uint64_t insts =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 500000;
+    const ExampleArgs args("energy_breakdown", argc, argv);
+    const std::string core_arg = args.word(1, "ooo");
+    if (core_arg != "inorder" && core_arg != "ooo")
+        args.fail("core: expected inorder or ooo, got '" + core_arg +
+                  "'");
+    const bool inorder = core_arg == "inorder";
+    const std::uint64_t insts = args.count(2, "instructions", 500000);
 
     SystemConfig cfg = SystemConfig::base();
     if (inorder)

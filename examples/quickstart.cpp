@@ -9,9 +9,9 @@
  * Usage: quickstart [profile-name] [instructions]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "example_args.hh"
 #include "runner/sweep_runner.hh"
 #include "sim/experiment.hh"
 #include "sim/table.hh"
@@ -21,9 +21,9 @@ using namespace rcache;
 int
 main(int argc, char **argv)
 {
-    const std::string profile_name = argc > 1 ? argv[1] : "compress";
-    const std::uint64_t insts =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 1000000;
+    const ExampleArgs args("quickstart", argc, argv);
+    const std::string profile_name = args.word(1, "compress");
+    const std::uint64_t insts = args.count(2, "instructions", 1000000);
 
     BenchmarkProfile profile = profileByName(profile_name);
 

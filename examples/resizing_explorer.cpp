@@ -13,9 +13,9 @@
  *                          [side: d|i] [assoc] [instructions] [jobs]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "example_args.hh"
 #include "runner/sweep_runner.hh"
 #include "sim/experiment.hh"
 #include "sim/table.hh"
@@ -26,7 +26,7 @@ namespace
 {
 
 Organization
-parseOrg(const std::string &s)
+parseOrg(const ExampleArgs &args, const std::string &s)
 {
     if (s == "ways")
         return Organization::SelectiveWays;
@@ -34,8 +34,8 @@ parseOrg(const std::string &s)
         return Organization::SelectiveSets;
     if (s == "hybrid")
         return Organization::Hybrid;
-    rc_fatal("unknown organization '" + s +
-             "' (expected ways|sets|hybrid)");
+    args.fail("unknown organization '" + s +
+              "' (expected ways|sets|hybrid)");
 }
 
 } // namespace
@@ -43,21 +43,27 @@ parseOrg(const std::string &s)
 int
 main(int argc, char **argv)
 {
-    const std::string profile_name = argc > 1 ? argv[1] : "compress";
-    const Organization org =
-        parseOrg(argc > 2 ? argv[2] : "hybrid");
-    const bool dcache = (argc > 3 ? std::string(argv[3]) : "d") == "d";
-    const unsigned assoc =
-        argc > 4 ? static_cast<unsigned>(std::atoi(argv[4])) : 4;
-    const std::uint64_t insts =
-        argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 800000;
-    const unsigned jobs =
-        argc > 6 ? static_cast<unsigned>(std::atoi(argv[6])) : 1;
+    const ExampleArgs args("resizing_explorer", argc, argv);
+    const std::string profile_name = args.word(1, "compress");
+    const Organization org = parseOrg(args, args.word(2, "hybrid"));
+    const std::string side_arg = args.word(3, "d");
+    if (side_arg != "d" && side_arg != "i")
+        args.fail("side: expected d or i, got '" + side_arg + "'");
+    const bool dcache = side_arg == "d";
+    const auto assoc =
+        static_cast<unsigned>(args.count(4, "assoc", 4));
+    const std::uint64_t insts = args.count(5, "instructions", 800000);
+    const auto jobs =
+        static_cast<unsigned>(args.count(6, "jobs", 1, true));
 
     BenchmarkProfile profile = profileByName(profile_name);
     SystemConfig cfg = SystemConfig::base();
     cfg.il1.assoc = assoc;
     cfg.dl1.assoc = assoc;
+    if (std::string bad = cfg.dl1.validate(); !bad.empty()) {
+        bad.resize(bad.size() - 2); // drop the trailing "; "
+        args.fail("assoc: invalid 32K geometry (" + bad + ")");
+    }
 
     const CacheSide side =
         dcache ? CacheSide::DCache : CacheSide::ICache;
