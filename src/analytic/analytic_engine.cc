@@ -71,6 +71,15 @@ staticGeometry(Organization org, const CacheGeometry &g,
              "Strategy::Dynamic needs the detailed engine");
 }
 
+/** Resizes a detailed run of @p setup (static or none) performs. */
+std::uint64_t
+staticResizes(const ResizeSetup &setup)
+{
+    return setup.strategy == Strategy::Static && setup.staticLevel != 0
+               ? 1
+               : 0;
+}
+
 /**
  * One baseline context: a real Cache + Hierarchy at a registered
  * full geometry, streamed beside the stack profiles. Its block
@@ -488,22 +497,17 @@ priceAnalyticJob(const RunJob &job, const AnalyticPass &pass)
                std::llround(std::max(modeled, floor_cycles))));
     act.cycles = cycles;
 
-    const CacheActivity il1_act =
-        l1Activity(acc_i, miss_i, gi, cfg.il1, cycles);
-    const CacheActivity dl1_act =
-        l1Activity(acc_d, miss_d, gd, cfg.dl1, cycles);
-
-    const ProcessorEnergyModel energy(cfg.energy);
-
     RunResult res;
     res.workload = job.profile.name;
     res.insts = act.insts;
     res.cycles = cycles;
     res.activity = act;
-    res.energy = energy.compute(
-        act, il1_act, extraTagBits(cfg.il1Org, cfg.il1), dl1_act,
-        extraTagBits(cfg.dl1Org, cfg.dl1),
-        static_cast<double>(l2_acc), cfg.l2.size, mem_acc);
+    res.energyInputs.il1 = l1Activity(acc_i, miss_i, gi, cfg.il1, cycles);
+    res.energyInputs.dl1 = l1Activity(acc_d, miss_d, gd, cfg.dl1, cycles);
+    res.energyInputs.l2Accesses = static_cast<double>(l2_acc);
+    res.energyInputs.l2SizeBytes = cfg.l2.size;
+    res.energyInputs.memAccesses = mem_acc;
+    priceEnergy(res, cfg);
     res.avgIl1Bytes =
         static_cast<double>(gi.sizeBytes(cfg.il1.blockSize));
     res.avgDl1Bytes =
@@ -519,10 +523,11 @@ priceAnalyticJob(const RunJob &job, const AnalyticPass &pass)
         l2_acc ? static_cast<double>(b.l2Misses) /
                      static_cast<double>(l2_acc)
                : 0.0;
-    // A detailed static run performs exactly one resize (the policy
-    // applies its level at construction); None performs none.
-    res.il1Resizes = job.il1.strategy == Strategy::Static ? 1 : 0;
-    res.dl1Resizes = job.dl1.strategy == Strategy::Static ? 1 : 0;
+    // A detailed static run resizes once, when the policy applies
+    // its level at construction, unless that level is the full size;
+    // None never resizes.
+    res.il1Resizes = staticResizes(job.il1);
+    res.dl1Resizes = staticResizes(job.dl1);
     res.engine = EngineMode::Analytic;
     res.measuredInsts = 0;
     res.warmupInsts = 0;

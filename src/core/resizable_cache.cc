@@ -44,6 +44,13 @@ policySeed(const std::string &name, std::uint64_t salt)
 
 } // namespace
 
+unsigned
+resizableTagBits(Organization org, const CacheGeometry &geom,
+                 const std::string &policy)
+{
+    return extraTagBits(org, geom) + replacementPolicyStateBits(policy);
+}
+
 ResizableCache::ResizableCache(const std::string &name,
                                const CacheGeometry &geom,
                                Organization org,
@@ -51,8 +58,7 @@ ResizableCache::ResizableCache(const std::string &name,
                                std::uint64_t seed_salt)
     : org_(org),
       schedule_(buildSchedule(org, geom)),
-      extraTagBits_(rcache::extraTagBits(org, geom) +
-                    replacementPolicyStateBits(policy)),
+      extraTagBits_(resizableTagBits(org, geom, policy)),
       policy_(policy),
       cache_(name, geom,
              makeReplacementPolicy(

@@ -22,6 +22,14 @@ namespace rcache
 {
 
 /**
+ * Extra tag bits a ResizableCache of @p org over @p geom carries under
+ * replacement @p policy: the organization's (extraTagBits) plus the
+ * policy's per-block state bits. Its energy is priced with these.
+ */
+unsigned resizableTagBits(Organization org, const CacheGeometry &geom,
+                          const std::string &policy);
+
+/**
  * Owns a Cache and drives its resizing according to one organization's
  * schedule.
  */
@@ -78,8 +86,7 @@ class ResizableCache
     bool canUpsize() const { return level_ > 0; }
     bool canDownsize() const { return level_ + 1 < levels(); }
 
-    /** Extra tag bits this organization carries, plus the
-     *  replacement policy's per-block state bits (energy overhead). */
+    /** Extra tag bits this cache carries (resizableTagBits). */
     unsigned extraTagBits() const { return extraTagBits_; }
 
     /** The replacement policy name this cache was built with. */

@@ -5,7 +5,8 @@
  * The profiled best size is supplied as a schedule level; the policy
  * applies it at construction (the paper's "operating system loads the
  * size mask prior to the application's execution") and then does
- * nothing at runtime. Finding the best level is the profiling
+ * nothing at runtime, so System hands it to no core to observe
+ * accesses with. Finding the best level is the profiling
  * search's job (CellBatch in scenario/cell_eval.hh, over the job
  * builders in sim/experiment.hh), mirroring the paper's offline
  * profiling.

@@ -98,7 +98,8 @@ class Core
   public:
     /**
      * @param il1_policy,dl1_policy resizing policies observing the L1
-     *        accesses; either may be null (non-resizable cache)
+     *        accesses; either may be null (no resizing at runtime:
+     *        System hands over only dynamic controllers)
      */
     Core(const CoreParams &params, Hierarchy &hier,
          ResizePolicy *il1_policy, ResizePolicy *dl1_policy);

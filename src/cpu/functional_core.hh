@@ -44,7 +44,7 @@ class FunctionalCore
      *        core, so its tables stay warm across mode switches
      * @param fetch_width group size for the i-cache access cadence
      * @param il1_policy,dl1_policy resizing policies observing the L1
-     *        accesses; either may be null
+     *        accesses; either may be null (no resizing at runtime)
      */
     FunctionalCore(Hierarchy &hier, BranchPredictor &bpred,
                    unsigned fetch_width, ResizePolicy *il1_policy,

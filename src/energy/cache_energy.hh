@@ -41,6 +41,8 @@ struct CacheActivity
     {
         return accesses > 0 ? misses / accesses : 0.0;
     }
+
+    bool operator==(const CacheActivity &o) const = default;
 };
 
 /** Computes L1/L2 energies from accumulated cache counters. */

@@ -35,31 +35,29 @@ ProcessorEnergyModel::compute(const CoreActivity &activity,
                               const Cache &l2,
                               std::uint64_t mem_accesses) const
 {
-    return compute(activity, CacheActivity::of(il1),
-                   il1_extra_tag_bits, CacheActivity::of(dl1),
-                   dl1_extra_tag_bits,
-                   static_cast<double>(l2.accesses()),
-                   l2.geometry().size,
-                   static_cast<double>(mem_accesses));
+    EnergyInputs in;
+    in.il1 = CacheActivity::of(il1);
+    in.dl1 = CacheActivity::of(dl1);
+    in.l2Accesses = static_cast<double>(l2.accesses());
+    in.l2SizeBytes = l2.geometry().size;
+    in.memAccesses = static_cast<double>(mem_accesses);
+    return compute(activity, in, il1_extra_tag_bits,
+                   dl1_extra_tag_bits);
 }
 
 EnergyBreakdown
 ProcessorEnergyModel::compute(const CoreActivity &activity,
-                              const CacheActivity &il1,
+                              const EnergyInputs &in,
                               unsigned il1_extra_tag_bits,
-                              const CacheActivity &dl1,
-                              unsigned dl1_extra_tag_bits,
-                              double l2_accesses,
-                              std::uint64_t l2_size_bytes,
-                              double mem_accesses) const
+                              unsigned dl1_extra_tag_bits) const
 {
     EnergyBreakdown b;
-    b.icache = cacheModel_.l1Energy(il1, il1_extra_tag_bits);
-    b.dcache = cacheModel_.l1Energy(dl1, dl1_extra_tag_bits);
+    b.icache = cacheModel_.l1Energy(in.il1, il1_extra_tag_bits);
+    b.dcache = cacheModel_.l1Energy(in.dl1, dl1_extra_tag_bits);
     b.l2 = cacheModel_.l2Energy(
-        l2_accesses, l2_size_bytes,
+        in.l2Accesses, in.l2SizeBytes,
         static_cast<double>(activity.cycles));
-    b.memory = mem_accesses * params_.memPerAccess;
+    b.memory = in.memAccesses * params_.memPerAccess;
 
     const auto insts = static_cast<double>(activity.insts);
     const double frontend = activity.outOfOrder

@@ -57,6 +57,23 @@ struct CoreActivity
     }
 };
 
+/**
+ * What the energy model prices besides the core's activity: both
+ * L1s' activity, the L2 and memory traffic, and the L2's size, as
+ * totals over the whole run (a sampled run's measured windows scaled
+ * up). Kept with a run's result so its energy can be priced again
+ * under other L1 tag overheads.
+ */
+struct EnergyInputs
+{
+    CacheActivity il1, dl1;
+    double l2Accesses = 0;
+    std::uint64_t l2SizeBytes = 0;
+    double memAccesses = 0;
+
+    bool operator==(const EnergyInputs &o) const = default;
+};
+
 /** Per-structure energy totals for one run. */
 struct EnergyBreakdown
 {
@@ -103,19 +120,14 @@ class ProcessorEnergyModel
                             std::uint64_t mem_accesses) const;
 
     /**
-     * Price explicit activity totals instead of live Cache counters.
-     * System::result extrapolates its measured-window deltas to
-     * full-run totals (scale 1 for full detail) and prices them
-     * through this overload.
+     * Price explicit activity totals instead of live Cache counters
+     * (priceEnergy in sim/system.hh prices every run's result
+     * through this overload).
      */
     EnergyBreakdown compute(const CoreActivity &activity,
-                            const CacheActivity &il1,
+                            const EnergyInputs &in,
                             unsigned il1_extra_tag_bits,
-                            const CacheActivity &dl1,
-                            unsigned dl1_extra_tag_bits,
-                            double l2_accesses,
-                            std::uint64_t l2_size_bytes,
-                            double mem_accesses) const;
+                            unsigned dl1_extra_tag_bits) const;
 
     const EnergyParams &params() const { return params_; }
 

@@ -53,6 +53,25 @@ lockstepEligible(const RunJob &job)
     return !job.engine.analytic() && job.cfg.cores == 1;
 }
 
+bool
+baselineEquivalent(const RunJob &job)
+{
+    const auto full = [](const ResizeSetup &s) {
+        return s.strategy == Strategy::None ||
+               (s.strategy == Strategy::Static && s.staticLevel == 0);
+    };
+    return job.cfg.cores == 1 && full(job.il1) && full(job.dl1);
+}
+
+RunResult
+foldIntoBaseline(const RunResult &baseline, const RunJob &job)
+{
+    rc_assert(baselineEquivalent(job));
+    RunResult res = baseline;
+    priceEnergy(res, job.cfg);
+    return res;
+}
+
 std::vector<std::vector<std::size_t>>
 planLockstepGroups(const std::vector<RunJob> &jobs,
                    unsigned parallelism)

@@ -91,6 +91,27 @@ RunResult executeRunJob(const RunJob &job);
 bool lockstepEligible(const RunJob &job);
 
 /**
+ * Does @p job simulate the same machine as its non-resizable
+ * baseline (the job with both organizations None and no resizing)?
+ * True for a single-core job whose L1 setups are each None or Static
+ * at level 0, the full size: a level-0 static policy never resizes,
+ * and a full-size cache of any organization indexes, replaces and
+ * counts exactly like the conventional one. Only the extra tag bits
+ * its energy is priced with differ. Multi-core jobs never qualify:
+ * their energy is a sum over cores.
+ */
+bool baselineEquivalent(const RunJob &job);
+
+/**
+ * The result executeRunJob(@p job) returns, for a baselineEquivalent
+ * @p job, from @p baseline, its baseline's result: the same run,
+ * energy priced again with @p job's tag bits (priceEnergy). Bit for
+ * bit equal under every engine. An unrun baseline (insts == 0)
+ * yields an unrun result.
+ */
+RunResult foldIntoBaseline(const RunResult &baseline, const RunJob &job);
+
+/**
  * The groups SweepRunner::run executes @p jobs in at @p parallelism
  * workers: lockstep-eligible jobs with an equal stream and engine
  * (profile, insts and EngineSpec, so sampled jobs group only with

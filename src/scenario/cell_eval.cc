@@ -204,15 +204,42 @@ CellBatch::add(std::size_t cell)
     c.end = jobs_.size();
     attachMix(jobs_.begin() + first, jobs_.end(), c.eff);
     jobCells_.resize(jobs_.size(), cell);
+    folds_.resize(jobs_.size(), false);
+    for (std::size_t k = c.off; k < c.end; ++k)
+        if (baselineEquivalent(jobs_[k])) {
+            folds_[k] = true;
+            ++folded_;
+        }
     cells_.push_back(std::move(c));
 }
 
 std::vector<SweepRecord>
 CellBatch::run(const PhaseRunner &execute)
 {
-    const std::vector<RunResult> results = execute(jobs_, jobCells_);
+    // Phase 1 runs every job but the folded ones, which reuse their
+    // cell's baseline run once it is in the memo.
+    std::vector<RunJob> runs;
+    std::vector<std::size_t> runCells, at;
+    for (std::size_t k = 0; k < jobs_.size(); ++k) {
+        if (folds_[k])
+            continue;
+        at.push_back(k);
+        runs.push_back(std::move(jobs_[k]));
+        runCells.push_back(jobCells_[k]);
+    }
+    std::vector<RunResult> ran = execute(runs, runCells);
+    std::vector<RunResult> results(jobs_.size());
+    for (std::size_t i = 0; i < at.size(); ++i) {
+        jobs_[at[i]] = std::move(runs[i]);
+        results[at[i]] = std::move(ran[i]);
+    }
     for (const auto &[key, idx] : newBases_)
         memo_[key] = results[idx];
+    for (const Cell &c : cells_)
+        for (std::size_t k = c.off; k < c.end; ++k)
+            if (folds_[k])
+                results[k] = foldIntoBaseline(memo_.at(c.baseKey),
+                                              jobs_[k]);
     // Reduce candidate jobs [from, to) of cell @p c.
     const auto reduce = [&](const Cell &c, std::size_t from,
                             std::size_t to) {
@@ -224,10 +251,12 @@ CellBatch::run(const PhaseRunner &execute)
     };
 
     // Side=both cells: each L1 was profiled on its own; run the two
-    // chosen levels together.
+    // chosen levels together (both full size: fold into the
+    // baseline).
     std::vector<RunJob> combined;
-    std::vector<std::size_t> combinedCells;
+    std::vector<std::size_t> combinedCells, combinedAt;
     std::vector<SearchOutcome> dOuts(cells_.size());
+    std::vector<RunResult> both(cells_.size());
     for (std::size_t i = 0; i < cells_.size(); ++i) {
         const Cell &c = cells_[i];
         if (c.point.side != SweepSide::Both)
@@ -236,24 +265,30 @@ CellBatch::run(const PhaseRunner &execute)
         const SearchOutcome iOut = reduce(c, c.mid, c.end);
         Experiment exp(c.point.cfg, scope_.space.spec().insts);
         exp.setEngine(c.point.engine);
-        combined.push_back(exp.bothStaticJob(c.eff.label, c.point.org,
-                                             iOut.bestLevel,
-                                             dOuts[i].bestLevel));
+        RunJob job = exp.bothStaticJob(c.eff.label, c.point.org,
+                                       iOut.bestLevel,
+                                       dOuts[i].bestLevel);
+        if (baselineEquivalent(job)) {
+            both[i] = foldIntoBaseline(memo_.at(c.baseKey), job);
+            continue;
+        }
+        combined.push_back(std::move(job));
         attachMix(combined.end() - 1, combined.end(), c.eff);
         combinedCells.push_back(c.cell);
+        combinedAt.push_back(i);
     }
-    const std::vector<RunResult> results2 =
-        execute(combined, combinedCells);
+    std::vector<RunResult> ran2 = execute(combined, combinedCells);
+    for (std::size_t j = 0; j < combinedAt.size(); ++j)
+        both[combinedAt[j]] = std::move(ran2[j]);
 
     std::vector<SweepRecord> records;
     records.reserve(cells_.size());
-    std::size_t next2 = 0;
     for (std::size_t i = 0; i < cells_.size(); ++i) {
         const Cell &c = cells_[i];
         const SearchOutcome out =
             c.point.side == SweepSide::Both
                 ? Experiment::reduceBoth(memo_.at(c.baseKey), dOuts[i],
-                                         results2[next2++])
+                                         both[i])
                 : reduce(c, c.off, c.end);
         records.push_back(
             cellRecord(c.cell, scope_.app(c.cell).name, c.point, out));

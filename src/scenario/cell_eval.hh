@@ -10,6 +10,16 @@
  * its own, then runs the two chosen levels together (the Fig 9
  * method). The minimum-E·D point becomes the cell's SweepRecord.
  *
+ * A candidate that simulates the same machine as the cell's baseline
+ * (runner/sweep_runner.hh baselineEquivalent: single-core, every L1
+ * setup None or Static at level 0 — each static search's full-size
+ * candidate, and a side=both combined run at levels (0, 0)) is never
+ * run: CellBatch folds it into the baseline's run, repricing that
+ * run's energy with the candidate's own tag bits
+ * (foldIntoBaseline). The record is bit-identical to running it, so
+ * each distinct machine is simulated once per cell. Multi-core
+ * candidates always run.
+ *
  * CellBatch is that method, once. The exhaustive sweep
  * (scenario/scenario_sweep.cc) feeds it one chunk at a time with a
  * baseline memo that spans chunks; the adaptive search
@@ -132,22 +142,27 @@ class CellBatch
      * Plan @p cell's phase-1 jobs: its baseline, unless the memo or
      * an earlier cell of this batch already has it, then its
      * candidates (side=both: every d-cache level, then every i-cache
-     * level).
+     * level), marking those that fold into the baseline.
      */
     void add(std::size_t cell);
 
     bool empty() const { return cells_.empty(); }
     std::size_t size() const { return cells_.size(); }
-    /** Phase-1 jobs planned so far. */
+    /** Phase-1 jobs planned so far, folded ones included (what the
+     *  sweep sizes its chunks by). */
     std::size_t phase1Jobs() const { return jobs_.size(); }
-    /** Every job run() executes: phase 1 plus one combined run per
-     *  side=both cell. */
+    /** Phase-1 jobs that fold into their cell's baseline run. */
+    std::size_t foldedJobs() const { return folded_; }
+    /** Every job of the method: phase 1 plus one combined run per
+     *  side=both cell, folded ones included (the tune's cost
+     *  model). */
     std::size_t plannedJobs() const { return jobs_.size() + both_; }
 
     /**
-     * Run phase 1 through @p execute, publish its new baselines to
-     * the memo, run the side=both combined points through
-     * @p execute, and fold every cell to its minimum-E·D record.
+     * Run phase 1's unfolded jobs through @p execute, publish its
+     * new baselines to the memo, fold the rest into them, run the
+     * side=both combined points that do not fold through
+     * @p execute, and reduce every cell to its minimum-E·D record.
      * @return one record per added cell, in add() order. Call once.
      */
     std::vector<SweepRecord> run(const PhaseRunner &execute);
@@ -174,6 +189,9 @@ class CellBatch
     std::vector<Cell> cells_;
     std::vector<RunJob> jobs_;
     std::vector<std::size_t> jobCells_;
+    /** Per phase-1 job: baselineEquivalent, so it folds. */
+    std::vector<bool> folds_;
+    std::size_t folded_ = 0;
     /** Baselines first planned here: key -> job index. */
     std::map<std::string, std::size_t> newBases_;
     std::size_t both_ = 0;

@@ -23,6 +23,17 @@ coreModelName(CoreModel m)
     rc_panic("bad core model");
 }
 
+void
+priceEnergy(RunResult &res, const SystemConfig &cfg)
+{
+    res.energy = ProcessorEnergyModel(cfg.energy)
+                     .compute(res.activity, res.energyInputs,
+                              resizableTagBits(cfg.il1Org, cfg.il1,
+                                               cfg.policy),
+                              resizableTagBits(cfg.dl1Org, cfg.dl1,
+                                               cfg.policy));
+}
+
 System::System(const SystemConfig &cfg)
     : cfg_(cfg),
       model_(cfg.coreModel),
@@ -53,6 +64,16 @@ System::dumpStats(std::ostream &os) const
     il1_.cache().stats().dump(os);
     dl1_.cache().stats().dump(os);
     hier_.l2().stats().dump(os);
+}
+
+ResizePolicy *
+System::reacting(const std::unique_ptr<ResizePolicy> &policy)
+{
+    // A static policy applied its level at construction; handing it
+    // to a core would only cost a no-op call per L1 access.
+    return policy && policy->strategy() == Strategy::Dynamic
+               ? policy.get()
+               : nullptr;
 }
 
 std::unique_ptr<ResizePolicy>
@@ -98,12 +119,12 @@ System::open(const ResizeSetup &il1_setup, const ResizeSetup &dl1_setup,
 
     if (model_ == CoreModel::OutOfOrder) {
         core_ = std::make_unique<OooCore>(cfg_.core, hier_,
-                                          il1Policy_.get(),
-                                          dl1Policy_.get());
+                                          reacting(il1Policy_),
+                                          reacting(dl1Policy_));
     } else {
         core_ = std::make_unique<InOrderCore>(cfg_.core, hier_,
-                                              il1Policy_.get(),
-                                              dl1Policy_.get());
+                                              reacting(il1Policy_),
+                                              reacting(dl1Policy_));
     }
 
     if (telemetry && telemetry->wantsTimeline()) {
@@ -180,7 +201,7 @@ System::beginWarm(std::uint64_t n)
     if (!func_) {
         func_ = std::make_unique<FunctionalCore>(
             hier_, core_->predictor(), cfg_.core.fetchWidth,
-            il1Policy_.get(), dl1Policy_.get());
+            reacting(il1Policy_), reacting(dl1Policy_));
         func_->setProbe(recorder_.get());
     }
     // A measured window may have moved the stream since the last
@@ -253,12 +274,13 @@ System::result(const std::string &workload, std::uint64_t insts)
     // the L2's size-proportional term is charged over this core's
     // cycles.
     const auto l2_accesses = static_cast<double>(m.l2Accesses);
-    res.energy = ProcessorEnergyModel(cfg_.energy)
-                     .compute(a, m.il1.scaled(scale),
-                              il1_.extraTagBits(), m.dl1.scaled(scale),
-                              dl1_.extraTagBits(), l2_accesses * scale,
-                              hier_.l2().geometry().size,
-                              static_cast<double>(m.memAccesses) * scale);
+    EnergyInputs &in = res.energyInputs;
+    in.il1 = m.il1.scaled(scale);
+    in.dl1 = m.dl1.scaled(scale);
+    in.l2Accesses = l2_accesses * scale;
+    in.l2SizeBytes = hier_.l2().geometry().size;
+    in.memAccesses = static_cast<double>(m.memAccesses) * scale;
+    priceEnergy(res, cfg_);
 
     const double cyc = static_cast<double>(m.activity.cycles);
     res.avgIl1Bytes = cyc > 0 ? m.il1.byteCycles / cyc : 0.0;

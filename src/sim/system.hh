@@ -141,6 +141,9 @@ struct RunResult
     std::uint64_t cycles = 0;
     CoreActivity activity;
     EnergyBreakdown energy;
+    /** What @c energy was priced from (priceEnergy). A multi-core
+     *  aggregate, whose energy sums its cores', leaves it empty. */
+    EnergyInputs energyInputs;
 
     double avgIl1Bytes = 0;
     double avgDl1Bytes = 0;
@@ -183,6 +186,16 @@ struct RunResult
     double edp() const { return energy.total() * cycles; }
     double ipc() const { return activity.ipc(); }
 };
+
+/**
+ * Price @p res.energy from its activity and energyInputs under
+ * @p cfg's energy parameters, each L1 carrying the tag bits its
+ * ResizableCache would (resizableTagBits of cfg's organization and
+ * policy). The one pricing path of System::result, the analytic
+ * engine, and the runs CellBatch folds into a baseline
+ * (runner/sweep_runner.hh).
+ */
+void priceEnergy(RunResult &res, const SystemConfig &cfg);
 
 /** See file comment. */
 class System
@@ -326,6 +339,10 @@ class System
 
     std::unique_ptr<ResizePolicy> makePolicy(ResizableCache &cache,
                                              const ResizeSetup &setup);
+    /** @p policy if it reacts to accesses at runtime (the dynamic
+     *  controller), else null: what the cores observe with. */
+    static ResizePolicy *
+    reacting(const std::unique_ptr<ResizePolicy> &policy);
 
     /** The Each of a group of one: this System. */
     auto self()

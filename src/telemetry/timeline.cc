@@ -167,13 +167,15 @@ void TimelineRecorder::onSample(std::uint64_t window_insts,
             static_cast<double>(src_.il1->enabledSize()) * d_cycles;
         deltas.dl1.byteCycles =
             static_cast<double>(src_.dl1->enabledSize()) * d_cycles;
+        EnergyInputs in;
+        in.il1 = deltas.il1;
+        in.dl1 = deltas.dl1;
+        in.l2Accesses = static_cast<double>(deltas.l2Accesses);
+        in.l2SizeBytes = src_.l2SizeBytes;
+        in.memAccesses = static_cast<double>(deltas.mem);
         row.energy = energyModel_
-                         .compute(interval, deltas.il1,
-                                  src_.il1ExtraTagBits, deltas.dl1,
-                                  src_.dl1ExtraTagBits,
-                                  static_cast<double>(deltas.l2Accesses),
-                                  src_.l2SizeBytes,
-                                  static_cast<double>(deltas.mem))
+                         .compute(interval, in, src_.il1ExtraTagBits,
+                                  src_.dl1ExtraTagBits)
                          .total();
     }
 

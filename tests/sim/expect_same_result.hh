@@ -37,6 +37,7 @@ expectSame(const RunResult &a, const RunResult &b, const std::string &what)
     EXPECT_EQ(a.energy.memory, b.energy.memory);
     EXPECT_EQ(a.energy.core, b.energy.core);
     EXPECT_EQ(a.energy.clock, b.energy.clock);
+    EXPECT_EQ(a.energyInputs, b.energyInputs);
     EXPECT_EQ(a.avgIl1Bytes, b.avgIl1Bytes);
     EXPECT_EQ(a.avgDl1Bytes, b.avgDl1Bytes);
     EXPECT_EQ(a.il1MissRatio, b.il1MissRatio);
