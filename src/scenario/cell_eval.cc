@@ -204,12 +204,10 @@ CellBatch::add(std::size_t cell)
     c.end = jobs_.size();
     attachMix(jobs_.begin() + first, jobs_.end(), c.eff);
     jobCells_.resize(jobs_.size(), cell);
-    folds_.resize(jobs_.size(), false);
+    // A new baseline runs; candidates equivalent to it fold.
+    folds_.resize(c.off, false);
     for (std::size_t k = c.off; k < c.end; ++k)
-        if (baselineEquivalent(jobs_[k])) {
-            folds_[k] = true;
-            ++folded_;
-        }
+        folds_.push_back(baselineEquivalent(jobs_[k]));
     cells_.push_back(std::move(c));
 }
 

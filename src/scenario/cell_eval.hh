@@ -151,8 +151,6 @@ class CellBatch
     /** Phase-1 jobs planned so far, folded ones included (what the
      *  sweep sizes its chunks by). */
     std::size_t phase1Jobs() const { return jobs_.size(); }
-    /** Phase-1 jobs that fold into their cell's baseline run. */
-    std::size_t foldedJobs() const { return folded_; }
     /** Every job of the method: phase 1 plus one combined run per
      *  side=both cell, folded ones included (the tune's cost
      *  model). */
@@ -191,7 +189,6 @@ class CellBatch
     std::vector<std::size_t> jobCells_;
     /** Per phase-1 job: baselineEquivalent, so it folds. */
     std::vector<bool> folds_;
-    std::size_t folded_ = 0;
     /** Baselines first planned here: key -> job index. */
     std::map<std::string, std::size_t> newBases_;
     std::size_t both_ = 0;

@@ -343,7 +343,6 @@ TEST(CellEvalTest, Fig4SweepRunsNoFullSizeCandidate)
     EXPECT_EQ(full_size, batch.size());
     EXPECT_EQ(batch.plannedJobs(), bases.size() + candidates);
     EXPECT_EQ(batch.plannedJobs(), 1104u);
-    EXPECT_EQ(batch.foldedJobs(), full_size);
 
     // Stand-in results: this checks what is run, not what it returns.
     std::size_t runs = 0;
